@@ -1,4 +1,4 @@
-"""Exact two-color solving via the purple-forest search.
+"""Exact two-color solving via the search over partitions of the purple points.
 
 Builds the classic four-point example (two bichromatic points on the bottom,
 one red and one blue point on top), solves it exactly, and cross-checks the

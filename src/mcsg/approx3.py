@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mst
 from .core import Instance, Solution, as_edges, make_solution, merge_edges
-from .exact2 import project_pair, solve_pair
+from .exact2 import M_LIMIT, project_pair, solve_pair
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def mst_completion(inst: Instance, members, merged) -> np.ndarray:
     return as_edges(out)
 
 
-def approx_a1(inst: Instance, m_limit: int = 9, config: ApproxConfig | None = None) -> Solution:
+def approx_a1(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:
     """2-approximation for three colors: exact red-blue pair plus yellow MST."""
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
@@ -125,7 +125,7 @@ def approx_a1(inst: Instance, m_limit: int = 9, config: ApproxConfig | None = No
     return make_solution(inst, edges, "a1", ratio_bound=2.0)
 
 
-def approx_pairing(inst: Instance, pairing, m_limit: int = 9) -> Solution:
+def approx_pairing(inst: Instance, pairing, m_limit: int = M_LIMIT) -> Solution:
     """ceil(k/2)-approximation: exact solve per color pair, MST per singleton."""
     blocks = [tuple(sorted(int(c) for c in b)) for b in pairing]
     flat = [c for b in blocks for c in b]
@@ -144,7 +144,7 @@ _A2_SPLITS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
 def approx_a2_bundle(
-    inst: Instance, m_limit: int = 9, config: ApproxConfig | None = None
+    inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None
 ) -> CandidateBundle:
     """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H."""
     if inst.k != 3:
@@ -171,7 +171,7 @@ def approx_a2_bundle(
     return CandidateBundle(graphs=tuple(graphs), chosen=chosen)
 
 
-def approx_a2(inst: Instance, m_limit: int = 9, config: ApproxConfig | None = None) -> Solution:
+def approx_a2(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:
     """(2 - 1/(3+2*rho))-approximation for three colors via six candidates."""
     config = config or ApproxConfig()
     bundle = approx_a2_bundle(inst, m_limit=m_limit, config=config)

@@ -54,7 +54,7 @@ def _is_collinear(inst: Instance) -> bool:
         return False
 
 
-def solve_dispatch(inst: Instance, mode: str = "auto", *, m_limit: int = 9,
+def solve_dispatch(inst: Instance, mode: str = "auto", *, m_limit: int = exact2.M_LIMIT,
                    rho: float = 1.21, k_guard: int = 6,
                    budget: oracle.OracleBudget | None = None) -> Solution:
     """Pick a solver: exact for k <= 2, DP for collinear inputs, A2 for k = 3,
@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--output")
     sp.add_argument("--mode", default="auto",
                     choices=["auto", "exact2", "a1", "a2", "dp", "pairing", "oracle"])
-    sp.add_argument("--m-limit", type=int, default=9)
+    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--rho", type=float, default=1.21)
     sp.add_argument("--k-guard", type=int, default=6)
     sp.add_argument("--svg", help="also write a rendering of the solution")
@@ -128,14 +128,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--pair", default="1,2")
     sp.add_argument("--merge-groups")
-    sp.add_argument("--m-limit", type=int, default=9)
+    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--output")
 
     sp = sub.add_parser("approx", help="approximation algorithms for k = 3")
     sp.add_argument("--input", required=True)
     sp.add_argument("--algorithm", required=True, choices=["a1", "a2"])
     sp.add_argument("--rho", type=float, default=1.21)
-    sp.add_argument("--m-limit", type=int, default=9)
+    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--output")
     sp.add_argument("--svg", help="also write a rendering of the solution")
 

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Instance, RefusalError, Solution, as_edges, is_csg, make_solution
+from .core import Instance, RefusalError, Solution, as_edges, is_csg, make_solution, set_partitions
 
 DEFAULT_K_GUARD = 6
 COLLINEAR_TOL = 1e-9
@@ -221,24 +221,6 @@ def compatible(prev: CutEdgeSet, nxt: CutEdgeSet) -> bool:
     return all(pt in e for e in pa.symmetric_difference(pb))
 
 
-def _set_partitions(n: int):
-    """All partitions of range(n) as canonical restricted-growth strings."""
-    if n == 0:
-        yield ()
-        return
-    code = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            yield tuple(code)
-            return
-        for b in range(top + 2):
-            code[i] = b
-            yield from rec(i + 1, max(top, b))
-
-    yield from rec(1, 0)  # code[0] is always 0
-
-
 def _color_edges(edges: tuple[tuple[int, int, int], ...], c: int) -> list[tuple[int, int, int]]:
     bit = 1 << (c - 1)
     return [e for e in edges if e[0] & bit]
@@ -318,7 +300,7 @@ def _subsets(items):
 
 def _bell(t: int) -> int:
     table = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-    return table[t] if t < len(table) else sum(1 for _ in _set_partitions(t))
+    return table[t] if t < len(table) else sum(1 for _ in set_partitions(t))
 
 
 _PARTITIONS_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -327,7 +309,7 @@ _PARTITIONS_CACHE: dict[int, list[tuple[int, ...]]] = {}
 def _partitions_of(t: int) -> list[tuple[int, ...]]:
     got = _PARTITIONS_CACHE.get(t)
     if got is None:
-        got = list(_set_partitions(t))
+        got = list(set_partitions(t))
         _PARTITIONS_CACHE[t] = got
     return got
 

@@ -283,6 +283,29 @@ def costs_equal(a: float, b: float, rtol: float = COST_RTOL) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
+def set_partitions(n: int):
+    """All partitions of range(n) as restricted-growth strings, in lexicographic order.
+
+    Element i lies in block code[i]; code[0] == 0 and each code[i] is at most
+    one more than the largest earlier entry.  There are Bell(n) of them, the
+    one-block partition first and the all-singletons partition last.
+    """
+    code = [0] * n
+    top = [0] * n  # top[i] = max(code[: i + 1])
+    while True:
+        yield tuple(code)
+        i = n - 1
+        while i > 0 and code[i] > top[i - 1]:
+            i -= 1
+        if i <= 0:
+            return
+        code[i] += 1
+        top[i] = max(top[i - 1], code[i])
+        for j in range(i + 1, n):
+            code[j] = 0
+            top[j] = top[i]
+
+
 # ---------------------------------------------------------------------------
 # JSON formats
 

@@ -1,12 +1,31 @@
-"""Exact two-color solver via enumeration of bichromatic ("purple") forests.
+"""Exact two-color solver via a search over partitions of the bichromatic points.
 
-Any optimum for a 2-color instance can be written as: forced monochromatic
-edges + an acyclic set A of purple-purple edges + per-color minimum
-completions of the contracted component worlds.  A purple cycle's longest
-edge can always be dropped, and a purple-purple edge that only serves one
-color's completion is covered by the branch that moves it into A.  The
-enumeration is exponential in the number m of purple points only, and is
-certified against the brute-force oracle.
+Call the bichromatic points *purple*.  Only a purple-purple edge can serve both
+colors, so an optimum splits into: the forced monochromatic edges, a forest
+on the purple points, and per color a minimum completion of that color's
+world contracted by the forced edges, the ``group_merge`` blocks and the
+forest.  A completion link joins two groups of the forest, while a forest
+edge lies inside one; so for a fixed partition of the purple points into
+groups, the cheapest forest is the MST of each block, and the completions
+depend on the partition only.  The search therefore runs over set
+partitions (Bell(m) of them) instead of labelled forests.
+
+Purple points of one ``group_merge`` block are first contracted into one
+*unit*; the distance between units is their cheapest point pair.  A
+partition of the units scores
+
+    forced cost + sum of block MSTs + each world's Kruskal completion,
+
+the completions starting from a union-find in which the partition's blocks
+are already merged.  Every score is an upper bound on the cost of the union
+of its edges, and the partition induced by the purple-purple edges of an
+optimum scores at most that optimum, so the winning partition's edges cost
+exactly the optimum.  Partitions are skipped when forced cost, block MSTs and
+both worlds' completions with every unit merged (a lower bound on any
+partition's completions) already reach the best score; ties keep the first
+partition in ``core.set_partitions`` order.  The search is exponential in the
+number m of purple points only, and is certified against the brute-force
+oracle and, on collinear inputs at any size, against the collinear DP.
 """
 
 from __future__ import annotations
@@ -17,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mst
-from .core import Instance, RefusalError, Solution, as_edges, make_solution
+from .core import Instance, RefusalError, Solution, make_solution, set_partitions
+
+# Default limit on bichromatic points for every caller of solve_pair.
+M_LIMIT = 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,276 +85,174 @@ def project_pair(
     return PairProjection(base=base, pair=(c1, c2), idx=sel, bits=bits, group_merge=tuple(group_merge))
 
 
-def enumerate_forests(m: int, m_limit: int = 9):
-    """Yield every acyclic edge subset of the complete graph on m vertices.
+def _find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        a = parent[a]
+    return a
 
-    Edge sets come out as sorted tuples of (u, v) pairs, the empty forest
-    first.  Counts follow the labeled-forest sequence (1, 1, 2, 7, 38, ...).
-    """
-    if m > m_limit:
-        raise RefusalError(f"m={m} exceeds the forest enumeration limit of {m_limit}")
-    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    parent = list(range(m))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    chosen: list[tuple[int, int]] = []
-
-    def rec(i: int):
-        if i == len(edges):
-            yield tuple(chosen)
-            return
-        yield from rec(i + 1)
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-            chosen.append((u, v))
-            yield from rec(i + 1)
-            chosen.pop()
-            parent[rv] = rv
-
-    yield from rec(0)
+def _block_masks(code: tuple[int, ...]) -> list[int]:
+    """Unit bitmask of each block of a restricted-growth string."""
+    masks = [0] * (max(code, default=-1) + 1)
+    for u, b in enumerate(code):
+        masks[b] |= 1 << u
+    return masks
 
 
 class _Engine:
-    """Shared state for the purple-forest search on one projection."""
+    """Units, block MSTs and both color worlds of one projection."""
 
     def __init__(self, proj: PairProjection):
         self.proj = proj
-        base = proj.base
-        idx = proj.idx
-        self.xy = base.xy[idx]
-        self.n = proj.n
-        self.purple = [int(p) for p in proj.purple()]
-        # Local positions of each base index, for group_merge resolution.
-        pos_of = {int(g): i for i, g in enumerate(idx)}
+        self.pts = proj.base.xy[proj.idx].tolist()
+        self.bits = proj.bits.tolist()
+        pos_of = {int(g): i for i, g in enumerate(proj.idx)}
         self.merge_blocks = [
             sorted(pos_of[g] for g in block if int(g) in pos_of) for block in proj.group_merge
         ]
-        self.forced_edges_local: list[tuple[int, int]] = []
-        self.forced_cost = 0.0
-        self.worlds = [self._build_world(0), self._build_world(1)]
-        self.purple_edges = self._purple_edges()
-        self.full_merge_lb = max(w.full_merge_completion() for w in self.worlds)
+        block_of = {p: bi for bi, block in enumerate(self.merge_blocks) for p in block}
+        # Units: purple points, one per group_merge block, in order of first point.
+        key_unit: dict[int, int] = {}
+        self.units: list[list[int]] = []
+        for p in range(proj.n):
+            if self.bits[p] != 3:
+                continue
+            u = key_unit.setdefault(block_of.get(p, -1 - p), len(self.units))
+            if u == len(self.units):
+                self.units.append([])
+            self.units[u].append(p)
+        # Cheapest point pair per unit pair, ascending by (weight, a, b).
+        d = self.dist
+        self.unit_pairs = sorted(
+            min((d(p, q), min(p, q), max(p, q)) for p in self.units[u] for q in self.units[v]) + (u, v)
+            for u in range(len(self.units))
+            for v in range(u + 1, len(self.units))
+        )
+        self._block_mst: dict[int, tuple[float, list[tuple[int, int]]]] = {}
+        self.forced_edges: list[tuple[int, int]] = []
+        self.worlds = (_World(self, 1), _World(self, 2))
+        self.forced_cost = sum(d(a, b) for a, b in self.forced_edges)
 
-    # -- per-color worlds -------------------------------------------------
+    def dist(self, a: int, b: int) -> float:
+        (xa, ya), (xb, yb) = self.pts[a], self.pts[b]
+        return math.hypot(xa - xb, ya - yb)
 
-    def _build_world(self, which: int) -> "_World":
-        bit = 1 << which
-        members = [i for i in range(self.n) if self.bits_at(i) & bit]
-        active = [i for i in members if self.bits_at(i) == 3]
-        forced: list[tuple[int, int]] = []
-        if len(members) > 1:
-            local = mst.euclidean_mst(self.xy[members])
-            glob = [(members[a], members[b]) for a, b in local]
-            if active:
-                w = np.array([self._dist(a, b) for a, b in glob])
-                arr = np.array(glob, dtype=np.int64)
-                is_active = np.zeros(self.n, dtype=bool)
-                is_active[active] = True
-                kept, _ = mst.prune_to_forest(arr, w, self.n, is_active)
-                forced = [glob[i] for i in kept]
-            else:
-                forced = glob
-        self.forced_edges_local.extend(forced)
-        self.forced_cost += sum(self._dist(a, b) for a, b in forced)
-        return _World(self, members, forced)
-
-    def bits_at(self, i: int) -> int:
-        return int(self.proj.bits[i])
-
-    def _dist(self, a: int, b: int) -> float:
-        d = self.xy[a] - self.xy[b]
-        return float(math.hypot(d[0], d[1]))
-
-    def _purple_edges(self) -> list[tuple[float, int, int]]:
-        # Pairs pre-connected by group_merge are useless in a purple forest.
-        seed = mst.UnionFind(self.n)
-        for block in self.merge_blocks:
-            for a, b in zip(block, block[1:]):
-                seed.union(a, b)
-        out = []
-        for i, u in enumerate(self.purple):
-            for v in self.purple[i + 1 :]:
-                if seed.find(u) == seed.find(v):
-                    continue
-                out.append((self._dist(u, v), u, v))
-        out.sort()
-        return out
-
-    # -- search ------------------------------------------------------------
+    def block_mst(self, mask: int) -> tuple[float, list[tuple[int, int]]]:
+        """MST (cost, point pairs) of the units in bitmask ``mask``, memoised."""
+        got = self._block_mst.get(mask)
+        if got is None:
+            parent = list(range(len(self.units)))
+            left = mask.bit_count() - 1
+            cost, edges = 0.0, []
+            for w, a, b, u, v in self.unit_pairs:
+                if left == 0:
+                    break
+                if mask >> u & 1 and mask >> v & 1:
+                    ru, rv = _find(parent, u), _find(parent, v)
+                    if ru != rv:
+                        parent[rv] = ru
+                        cost += w
+                        edges.append((a, b))
+                        left -= 1
+            got = self._block_mst[mask] = (cost, edges)
+        return got
 
     def solve(self, algorithm: str) -> Solution:
-        best = [math.inf, None]  # cost, canonical local edge tuple
-
-        def evaluate(forest: list[tuple[int, int]]) -> None:
-            edges: set[tuple[int, int]] = set()
-            for a, b in self.forced_edges_local:
-                edges.add((min(a, b), max(a, b)))
-            for u, v in forest:
-                edges.add((min(u, v), max(u, v)))
-            for world in self.worlds:
-                links = world.completion_links(forest)
-                if links is None:
-                    return
-                for a, b in links:
-                    edges.add((min(a, b), max(a, b)))
-            cost = sum(self._dist(a, b) for a, b in edges)
-            key = tuple(sorted(edges))
-            if cost < best[0] or (cost == best[0] and (best[1] is None or key < best[1])):
-                best[0] = cost
-                best[1] = key
-
-        uf = mst.UnionFind(self.n)
-        for block in self.merge_blocks:
-            for a, b in zip(block, block[1:]):
-                uf.union(a, b)
-
-        edges = self.purple_edges
-        chosen: list[tuple[int, int]] = []
-
-        def rec(i: int, acc: float) -> None:
-            if self.forced_cost + acc + self.full_merge_lb > best[0]:
-                return
-            if i == len(edges):
-                evaluate(chosen)
-                return
-            rec(i + 1, acc)
-            w, u, v = edges[i]
-            ru, rv = uf.find(u), uf.find(v)
-            if ru != rv:
-                uf.parent[rv] = ru
-                chosen.append((u, v))
-                rec(i + 1, acc + w)
-                chosen.pop()
-                uf.parent[rv] = rv
-
-        rec(0, 0.0)
-        if best[1] is None:
-            raise RefusalError("projection admits no colored spanning graph")
-        base_edges = [(int(self.proj.idx[a]), int(self.proj.idx[b])) for a, b in best[1]]
-        return make_solution(self.proj.base, base_edges, algorithm, ratio_bound=1.0)
-
-    def formula_cost(self, forest: list[tuple[int, int]]) -> float:
-        """w(f) + per-color (forced + completion) costs, shared edges paid per color."""
-        total = sum(self._dist(u, v) for u, v in forest) + self.forced_cost
+        block_mst, (w0, w1) = self.block_mst, self.worlds
+        floor = self.forced_cost + w0.lower_bound + w1.lower_bound
+        best, best_code = math.inf, ()
+        for code in set_partitions(len(self.units)):
+            forest = sum(block_mst(mask)[0] for mask in _block_masks(code))
+            if floor + forest >= best:
+                continue
+            total = self.forced_cost + forest + w0.complete(code) + w1.complete(code)
+            if total < best:
+                best, best_code = total, code
+        edges = list(self.forced_edges)
+        for mask in _block_masks(best_code):
+            edges.extend(self.block_mst(mask)[1])
         for world in self.worlds:
-            links = world.completion_links(forest)
-            if links is None:
-                return math.inf
-            total += sum(self._dist(a, b) for a, b in links)
-        return total
+            world.complete(best_code, edges)
+        idx = self.proj.idx
+        base_edges = [(int(idx[a]), int(idx[b])) for a, b in edges]
+        return make_solution(self.proj.base, base_edges, algorithm, ratio_bound=1.0)
 
 
 class _World:
-    """One color's contracted component world inside the engine."""
+    """One color's forced edges and component links inside the engine."""
 
-    def __init__(self, engine: _Engine, members: list[int], forced: list[tuple[int, int]]):
-        self.engine = engine
-        self.members = members
-        uf = mst.UnionFind(engine.n)
-        for a, b in forced:
-            uf.union(a, b)
+    def __init__(self, engine: _Engine, bit: int):
+        bits, pts = engine.bits, engine.pts
+        members = [p for p in range(len(bits)) if bits[p] & bit]
+        forced: list[tuple[int, int]] = []
+        if len(members) > 1:
+            local = mst.euclidean_mst(engine.proj.base.xy[engine.proj.idx[members]])
+            glob = [(members[a], members[b]) for a, b in local]
+            w = np.array([engine.dist(a, b) for a, b in glob])
+            is_purple = engine.proj.bits == 3
+            kept, _ = mst.prune_to_forest(np.array(glob, dtype=np.int64), w, len(bits), is_purple)
+            forced = [glob[i] for i in kept]
+        engine.forced_edges.extend(forced)
+        parent = list(range(len(bits)))
+        joins = list(forced)
         for block in engine.merge_blocks:
-            inside = [p for p in block if p in set(members)]
-            for a, b in zip(inside, inside[1:]):
-                uf.union(a, b)
+            inside = [p for p in block if bits[p] & bit]
+            joins.extend(zip(inside, inside[1:]))
+        for a, b in joins:
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
         roots: dict[int, int] = {}
-        self.comp = {}
-        for p in members:
-            r = uf.find(p)
-            self.comp[p] = roots.setdefault(r, len(roots))
+        comp = {p: roots.setdefault(_find(parent, p), len(roots)) for p in members}
         self.n_comps = len(roots)
-        # Cheapest link per component pair; candidates are all member pairs,
-        # including purple-purple ones (paid once per color world, see the
-        # enumeration branch that moves such an edge into the forest).
-        self.links: dict[tuple[int, int], tuple[float, int, int]] = {}
+        # Cheapest link per component pair over all member pairs, purple-purple
+        # ones included, ascending by (weight, a, b).
+        best: dict[tuple[int, int], tuple[float, int, int]] = {}
         for i, a in enumerate(members):
+            ca, (xa, ya) = comp[a], pts[a]
             for b in members[i + 1 :]:
-                ca, cb = self.comp[a], self.comp[b]
-                if ca == cb:
-                    continue
-                key = (min(ca, cb), max(ca, cb))
-                cand = (engine._dist(a, b), min(a, b), max(a, b))
-                if key not in self.links or cand < self.links[key]:
-                    self.links[key] = cand
+                cb = comp[b]
+                if ca != cb:
+                    key = (ca, cb) if ca < cb else (cb, ca)
+                    xb, yb = pts[b]
+                    cand = (math.hypot(xa - xb, ya - yb), a, b)
+                    if key not in best or cand < best[key]:
+                        best[key] = cand
+        self.links = sorted(cand + key for key, cand in best.items())
+        self.unit_comp = [comp[unit[0]] for unit in engine.units]
+        self.lower_bound = self.complete((0,) * len(engine.units))
 
-    def _prim(self, merged: list[list[int]]) -> list[tuple[int, int]] | None:
-        """Minimum completion links over component groups; None if impossible."""
-        group_of = {}
-        for gi, grp in enumerate(merged):
-            for c in grp:
-                group_of[c] = gi
-        g = len(merged)
-        if g <= 1:
-            return []
-        best_link: dict[tuple[int, int], tuple[float, int, int]] = {}
-        for (ca, cb), cand in self.links.items():
-            ga, gb = group_of[ca], group_of[cb]
-            if ga == gb:
-                continue
-            key = (min(ga, gb), max(ga, gb))
-            if key not in best_link or cand < best_link[key]:
-                best_link[key] = cand
-        in_tree = [False] * g
-        in_tree[0] = True
-        out: list[tuple[int, int]] = []
-        dist = [best_link.get((min(0, j), max(0, j))) for j in range(g)]
-        for _ in range(g - 1):
-            pick, pick_j = None, -1
-            for j in range(g):
-                if in_tree[j] or dist[j] is None:
-                    continue
-                if pick is None or dist[j] < pick:
-                    pick, pick_j = dist[j], j
-            if pick is None:
-                return None
-            in_tree[pick_j] = True
-            out.append((pick[1], pick[2]))
-            for j in range(g):
-                if in_tree[j]:
-                    continue
-                cand = best_link.get((min(pick_j, j), max(pick_j, j)))
-                if cand is not None and (dist[j] is None or cand < dist[j]):
-                    dist[j] = cand
-        return out
+    def complete(self, code: tuple[int, ...], out: list[tuple[int, int]] | None = None) -> float:
+        """Kruskal completion cost with the blocks of ``code`` pre-merged.
 
-    def _groups(self, forest: list[tuple[int, int]]) -> list[list[int]]:
-        uf = mst.UnionFind(self.n_comps)
-        for u, v in forest:
-            cu, cv = self.comp.get(u), self.comp.get(v)
-            if cu is not None and cv is not None:
-                uf.union(cu, cv)
-        groups: dict[int, list[int]] = {}
-        for c in range(self.n_comps):
-            groups.setdefault(uf.find(c), []).append(c)
-        return list(groups.values())
-
-    def completion_links(self, forest: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        if self.n_comps <= 1:
-            return []
-        return self._prim(self._groups(forest))
-
-    def full_merge_completion(self) -> float:
-        """Completion cost with every purple component pre-merged (lower bound)."""
-        purple_comps = sorted({self.comp[p] for p in self.engine.purple if p in self.comp})
-        uf = mst.UnionFind(self.n_comps)
-        for a, b in zip(purple_comps, purple_comps[1:]):
-            uf.union(a, b)
-        groups: dict[int, list[int]] = {}
-        for c in range(self.n_comps):
-            groups.setdefault(uf.find(c), []).append(c)
-        links = self._prim(list(groups.values()))
-        if links is None:
-            return math.inf
-        return sum(self.engine._dist(a, b) for a, b in links)
+        Appends the chosen links (as point pairs) to ``out`` when given.
+        """
+        left = self.n_comps - 1
+        if left <= 0:
+            return 0.0
+        parent = list(range(self.n_comps))
+        first: dict[int, int] = {}
+        for c, b in zip(self.unit_comp, code):
+            r0 = _find(parent, first.setdefault(b, c))
+            rc = _find(parent, c)
+            if r0 != rc:
+                parent[rc] = r0
+                left -= 1
+        cost = 0.0
+        for w, a, b, ca, cb in self.links:
+            if left == 0:
+                break
+            ra, rb = _find(parent, ca), _find(parent, cb)
+            if ra != rb:
+                parent[rb] = ra
+                cost += w
+                left -= 1
+                if out is not None:
+                    out.append((a, b))
+        return cost
 
 
-def solve_pair(proj: PairProjection, m_limit: int = 9) -> Solution:
+def solve_pair(proj: PairProjection, m_limit: int = M_LIMIT) -> Solution:
     """Minimum-cost CSG of a 2-color projection, exact.
 
     Refuses when the number of bichromatic points exceeds ``m_limit``.  The
@@ -375,14 +295,23 @@ def spans_projection(proj: PairProjection, edges) -> bool:
 
 
 def completion_cost(proj: PairProjection, forest) -> float:
-    """Formula value of one purple forest: w(f) plus both color worlds.
+    """Score of one purple forest: w(f) plus forced edges plus both completions.
 
-    Each color world contributes its forced-forest weight plus the minimum
-    completion of the world contracted by (forced + group_merge + f); an edge
-    used by both worlds is paid once per world here (the solver's enumeration
-    covers it via the branch with the edge inside f).
+    ``forest`` holds pairs of positions into ``proj.purple()``.  Each color's
+    completion is the minimum one with the groups that f induces on the
+    purple points pre-merged; the minimum over all forests is the optimum.
     """
     engine = _Engine(proj)
     purple = [int(p) for p in proj.purple()]
-    f_local = [(purple[u], purple[v]) for u, v in forest]
-    return engine.formula_cost(f_local)
+    unit_of = {p: u for u, unit in enumerate(engine.units) for p in unit}
+    parent = list(range(len(engine.units)))
+    weight = 0.0
+    for u, v in forest:
+        p, q = purple[u], purple[v]
+        weight += engine.dist(p, q)
+        ru, rv = _find(parent, unit_of[p]), _find(parent, unit_of[q])
+        if ru != rv:
+            parent[rv] = ru
+    roots: dict[int, int] = {}
+    code = tuple(roots.setdefault(_find(parent, u), len(roots)) for u in range(len(parent)))
+    return weight + engine.forced_cost + sum(w.complete(code) for w in engine.worlds)

@@ -26,6 +26,7 @@ from .core import (
     generate_random,
     make_solution,
 )
+from .exact2 import M_LIMIT
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class OracleBudget:
     """Search limits: refuse instances whose candidate set is too large."""
 
     max_candidate_edges: int = 22
-    time_limit: float | None = None
 
 
 def _line_order(inst: Instance) -> np.ndarray:
@@ -365,7 +365,7 @@ def ratio_bench(
     fraction: float = 0.5,
     budget: OracleBudget | None = None,
     rho: float = 1.21,
-    m_limit: int = 9,
+    m_limit: int = M_LIMIT,
 ) -> BenchReport:
     """Compare algorithms against the brute-force optimum over seeded instances.
 

@@ -158,10 +158,8 @@ def test_dp_k2_matches_exact2():
 
 
 def test_partition_enumeration_bound():
-    from mcsg.collinear import _set_partitions
-
-    assert sum(1 for _ in _set_partitions(4)) == 15
-    assert sum(1 for _ in _set_partitions(0)) == 1
+    assert sum(1 for _ in core.set_partitions(4)) == 15
+    assert sum(1 for _ in core.set_partitions(0)) == 1
 
 
 def test_stats_reported():

@@ -137,3 +137,15 @@ def test_save_instance_to_stream():
     buf = io.StringIO()
     core.save_instance(inst, buf)
     assert core.load_instance(buf.getvalue()) == inst
+
+
+def test_set_partitions_are_restricted_growth_strings_in_order():
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52, 203, 877)):
+        codes = list(core.set_partitions(n))
+        assert len(codes) == bell
+        assert codes == sorted(set(codes))
+        for code in codes:
+            assert all(c <= max(code[:i], default=-1) + 1 for i, c in enumerate(code))
+    assert list(core.set_partitions(3)) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)
+    ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcsg import core, exact2, oracle
+from mcsg import collinear, core, exact2, oracle
 
 SQUARE = core.Instance(2, [(0, 0, {1, 2}), (1, 0, {1, 2}), (0, 1, {1}), (1, 1, {2})])
 
@@ -36,31 +36,9 @@ def test_m_limit_refusal():
         exact2.solve_pair(proj(inst), m_limit=9)
     with pytest.raises(core.RefusalError, match="limit of 4"):
         exact2.solve_pair(proj(core.generate_random(6, 2, 1.0, 0)), m_limit=4)
-
-
-def test_forest_counts():
-    counts = [sum(1 for _ in exact2.enumerate_forests(m)) for m in range(1, 6)]
-    assert counts == [1, 2, 7, 38, 291]
-    first = next(iter(exact2.enumerate_forests(3)))
-    assert first == ()
-
-
-def test_forest_enumeration_unique_and_acyclic():
-    seen = set()
-    for forest in exact2.enumerate_forests(4):
-        assert forest not in seen
-        seen.add(forest)
-        parent = list(range(4))
-
-        def find(a):
-            while parent[a] != a:
-                a = parent[a]
-            return a
-
-        for u, v in forest:
-            ru, rv = find(u), find(v)
-            assert ru != rv
-            parent[rv] = ru
+    over = core.generate_random(exact2.M_LIMIT + 1, 2, 1.0, 0)
+    with pytest.raises(core.RefusalError, match=f"limit of {exact2.M_LIMIT}$"):
+        exact2.solve_pair(proj(over))
 
 
 def test_completion_cost_examples():
@@ -71,15 +49,14 @@ def test_completion_cost_examples():
     assert exact2.completion_cost(proj(plain), []) == pytest.approx(2.0)
 
 
-def test_completion_cost_relabel_invariant():
-    inst = core.generate_random(6, 2, 0.6, 21)
-    order = np.array([3, 1, 5, 0, 2, 4])
-    relabeled = core.Instance.from_arrays(2, inst.xy[order], inst.masks[order])
-    best = min(exact2.completion_cost(proj(inst), f)
-               for f in exact2.enumerate_forests(int(proj(inst).purple().size)))
-    best2 = min(exact2.completion_cost(proj(relabeled), f)
-                for f in exact2.enumerate_forests(int(proj(relabeled).purple().size)))
-    assert best == pytest.approx(best2)
+def test_solve_pair_relabel_invariant():
+    for n, frac, seed in ((6, 0.6, 21), (20, 0.35, 5)):
+        inst = core.generate_random(n, 2, frac, seed)
+        order = np.random.default_rng(seed).permutation(n)
+        relabeled = core.Instance.from_arrays(2, inst.xy[order], inst.masks[order])
+        a = exact2.solve_pair(proj(inst)).cost
+        b = exact2.solve_pair(proj(relabeled)).cost
+        assert a == pytest.approx(b, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -118,3 +95,22 @@ def test_projection_of_three_color_instance():
     assert p.idx.tolist() == [0, 1]
     assert p.bits.tolist() == [1, 2]
     assert p.purple().size == 0
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_matches_collinear_dp(seed):
+    # The cut DP is exact at any n for k = 2, so it arbitrates far beyond the
+    # oracle's reach.
+    n, m = 14 + seed % 17, 5 + seed % 3
+    inst = core.generate_collinear(n, 2, (m + 0.5) / n, seed)
+    sol = exact2.solve_pair(proj(inst))
+    assert sol.cost == pytest.approx(collinear.dp_solve(inst).cost, rel=1e-9)
+    assert core.is_csg(inst, sol.edges)
+
+
+def test_skipped_forest_regression():
+    # A backtracking search over forests once returned 4.7141 here.
+    inst = core.generate_random(30, 2, 0.3, 4)
+    sol = exact2.solve_pair(proj(inst))
+    assert sol.cost == pytest.approx(4.6401, abs=5e-5)
+    assert core.is_csg(inst, sol.edges)
