@@ -61,9 +61,11 @@ def _class_mst(inst: Instance, c: int) -> np.ndarray:
 def mst_completion(inst: Instance, members, merged) -> np.ndarray:
     """Minimum edge set spanning ``members`` given pre-connected blocks.
 
-    Equivalent to an MST of the contracted point set where the distance
-    between blocks is the minimum pairwise point distance; returns the
-    witnessing point pairs.
+    The blocks of ``merged`` (instance indices; points outside ``members``
+    are ignored) count as already connected.  A minimum completion needs
+    only EMST edges of the class (see ``mst``), so this is Kruskal over
+    ``mst.euclidean_mst(members)`` in (length, a, b) order with the blocks
+    pre-united; returns the chosen point pairs.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size <= 1:
@@ -74,46 +76,10 @@ def mst_completion(inst: Instance, members, merged) -> np.ndarray:
         block = [pos[int(p)] for p in block if int(p) in pos]
         for a, b in zip(block, block[1:]):
             uf.union(a, b)
-    comp = {}
-    roots: dict[int, int] = {}
-    for i in range(members.size):
-        comp[i] = roots.setdefault(uf.find(i), len(roots))
-    g = len(roots)
-    if g <= 1:
-        return as_edges(())
-    best: dict[tuple[int, int], tuple[float, int, int]] = {}
-    xy = inst.xy
-    for i in range(members.size):
-        for j in range(i + 1, members.size):
-            ci, cj = comp[i], comp[j]
-            if ci == cj:
-                continue
-            a, b = int(members[i]), int(members[j])
-            w = float(np.hypot(*(xy[a] - xy[b])))
-            key = (min(ci, cj), max(ci, cj))
-            cand = (w, min(a, b), max(a, b))
-            if key not in best or cand < best[key]:
-                best[key] = cand
-    in_tree = [False] * g
-    in_tree[0] = True
-    out = []
-    dist: list[tuple[float, int, int] | None] = [best.get((min(0, j), max(0, j))) for j in range(g)]
-    for _ in range(g - 1):
-        pick, pick_j = None, -1
-        for j in range(g):
-            if not in_tree[j] and dist[j] is not None and (pick is None or dist[j] < pick):
-                pick, pick_j = dist[j], j
-        if pick is None:
-            raise ValueError("contracted class is not connectable")
-        in_tree[pick_j] = True
-        out.append((pick[1], pick[2]))
-        for j in range(g):
-            if in_tree[j]:
-                continue
-            cand = best.get((min(pick_j, j), max(pick_j, j)))
-            if cand is not None and (dist[j] is None or cand < dist[j]):
-                dist[j] = cand
-    return as_edges(out)
+    tree = as_edges(members[mst.euclidean_mst(inst.xy[members])])
+    w = np.hypot(*(inst.xy[tree[:, 0]] - inst.xy[tree[:, 1]]).T)
+    tree = tree[np.lexsort((tree[:, 1], tree[:, 0], w))].tolist()
+    return as_edges([(a, b) for a, b in tree if uf.union(pos[a], pos[b])])
 
 
 def approx_a1(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:

@@ -122,7 +122,8 @@ class Instance:
             bad = int(np.flatnonzero(masks >> k)[0])
             raise FormatError(f"color out of range on point {bad} (k={k})")
         # The collinear DP's unique-endpoint rule assumes distinct points.
-        if np.unique(xy, axis=0).shape[0] != xy.shape[0]:
+        rows = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise FormatError("coincident points are not allowed")
         xy.setflags(write=False)
         masks.setflags(write=False)
@@ -192,10 +193,13 @@ def as_edges(edges, n: int | None = None) -> np.ndarray:
     hi = arr.max(axis=1)
     if (lo == hi).any():
         raise FormatError("self-loop edge")
-    arr = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    if n is not None and (lo.min() < 0 or hi.max() >= n):
+    base = lo.min()
+    if n is not None and (base < 0 or hi.max() >= n):
         raise FormatError("edge endpoint out of range")
-    return arr
+    # One key per edge that sorts like (lo, hi): a 1-D unique, not a row sort.
+    span = hi.max() - base + 1
+    key = np.unique((lo - base) * span + (hi - base))
+    return np.stack([key // span + base, key % span + base], axis=1)
 
 
 def merge_edges(*edge_sets) -> np.ndarray:
@@ -445,8 +449,6 @@ def generate_random(n: int, k: int, multichromatic_fraction: float, seed: int) -
         raise FormatError(f"invalid parameters n={n}, k={k}")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))
-    while np.unique(xy, axis=0).shape[0] != n:  # pragma: no cover - measure zero
-        xy = rng.random((n, 2))
     return Instance.from_arrays(k, xy, _assign_colors(rng, n, k, multichromatic_fraction))
 
 

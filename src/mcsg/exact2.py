@@ -16,15 +16,18 @@ partition of the units scores
 
     forced cost + sum of block MSTs + each world's Kruskal completion,
 
-the completions starting from a union-find in which the partition's blocks
-are already merged.  Every score is an upper bound on the cost of the union
-of its edges, and the partition induced by the purple-purple edges of an
-optimum scores at most that optimum, so the winning partition's edges cost
-exactly the optimum.  Partitions are skipped when forced cost, block MSTs and
+each completion being Kruskal from a union-find in which the forced edges,
+the ``group_merge`` blocks and the partition's blocks are already merged.
+Its only candidate links are the world's EMST edges that the forced-edge
+pruning dropped, one fewer than the purple points: with any blocks
+pre-merged, a minimum completion needs no other pair (see ``mst``).  Every
+score is an upper bound on the cost of the union of its edges, and the
+partition induced by the purple-purple edges of an optimum scores at most
+that optimum, so the winning partition's edges cost exactly the optimum.  Partitions are skipped when forced cost, block MSTs and
 both worlds' completions with every unit merged (a lower bound on any
 partition's completions) already reach the best score; ties keep the first
 partition in ``core.set_partitions`` order.  The search is exponential in the
-number m of purple points only, and is certified against the brute-force
+number m of purple units only, and is certified against the brute-force
 oracle and, on collinear inputs at any size, against the collinear DP.
 """
 
@@ -38,7 +41,7 @@ import numpy as np
 from . import mst
 from .core import Instance, RefusalError, Solution, make_solution, set_partitions
 
-# Default limit on bichromatic points for every caller of solve_pair.
+# Default limit on purple units for every caller of solve_pair.
 M_LIMIT = 11
 
 
@@ -99,6 +102,25 @@ def _block_masks(code: tuple[int, ...]) -> list[int]:
     return masks
 
 
+def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
+    """The ``group_merge`` blocks and the purple units, as positions into idx.
+
+    A unit is one purple point, or the purple points of one ``group_merge``
+    block; units are listed in order of their first point.
+    """
+    pos_of = {int(g): i for i, g in enumerate(proj.idx)}
+    merge_blocks = [sorted(pos_of[g] for g in block if int(g) in pos_of) for block in proj.group_merge]
+    block_of = {p: bi for bi, block in enumerate(merge_blocks) for p in block}
+    key_unit: dict[int, int] = {}
+    units: list[list[int]] = []
+    for p in proj.purple().tolist():
+        u = key_unit.setdefault(block_of.get(p, -1 - p), len(units))
+        if u == len(units):
+            units.append([])
+        units[u].append(p)
+    return merge_blocks, units
+
+
 class _Engine:
     """Units, block MSTs and both color worlds of one projection."""
 
@@ -106,21 +128,7 @@ class _Engine:
         self.proj = proj
         self.pts = proj.base.xy[proj.idx].tolist()
         self.bits = proj.bits.tolist()
-        pos_of = {int(g): i for i, g in enumerate(proj.idx)}
-        self.merge_blocks = [
-            sorted(pos_of[g] for g in block if int(g) in pos_of) for block in proj.group_merge
-        ]
-        block_of = {p: bi for bi, block in enumerate(self.merge_blocks) for p in block}
-        # Units: purple points, one per group_merge block, in order of first point.
-        key_unit: dict[int, int] = {}
-        self.units: list[list[int]] = []
-        for p in range(proj.n):
-            if self.bits[p] != 3:
-                continue
-            u = key_unit.setdefault(block_of.get(p, -1 - p), len(self.units))
-            if u == len(self.units):
-                self.units.append([])
-            self.units[u].append(p)
+        self.merge_blocks, self.units = _units(proj)
         # Cheapest point pair per unit pair, ascending by (weight, a, b).
         d = self.dist
         self.unit_pairs = sorted(
@@ -179,19 +187,26 @@ class _Engine:
 
 
 class _World:
-    """One color's forced edges and component links inside the engine."""
+    """One color's forced edges and completion links inside the engine.
+
+    The links are the EMST edges of the color class that pruning dropped, one
+    fewer than the purple points: with the forced edges and any blocks
+    pre-merged, a minimum completion needs no other pair (see ``mst``).
+    """
 
     def __init__(self, engine: _Engine, bit: int):
-        bits, pts = engine.bits, engine.pts
+        bits = engine.bits
         members = [p for p in range(len(bits)) if bits[p] & bit]
+        tree: list[tuple[int, int]] = []
+        w: list[float] = []
         forced: list[tuple[int, int]] = []
         if len(members) > 1:
             local = mst.euclidean_mst(engine.proj.base.xy[engine.proj.idx[members]])
-            glob = [(members[a], members[b]) for a, b in local]
-            w = np.array([engine.dist(a, b) for a, b in glob])
+            tree = [(members[a], members[b]) for a, b in local]
+            w = [engine.dist(a, b) for a, b in tree]
             is_purple = engine.proj.bits == 3
-            kept, _ = mst.prune_to_forest(np.array(glob, dtype=np.int64), w, len(bits), is_purple)
-            forced = [glob[i] for i in kept]
+            kept, _ = mst.prune_to_forest(np.array(tree), np.array(w), len(bits), is_purple)
+            forced = [tree[i] for i in kept]
         engine.forced_edges.extend(forced)
         parent = list(range(len(bits)))
         joins = list(forced)
@@ -205,20 +220,11 @@ class _World:
         roots: dict[int, int] = {}
         comp = {p: roots.setdefault(_find(parent, p), len(roots)) for p in members}
         self.n_comps = len(roots)
-        # Cheapest link per component pair over all member pairs, purple-purple
-        # ones included, ascending by (weight, a, b).
-        best: dict[tuple[int, int], tuple[float, int, int]] = {}
-        for i, a in enumerate(members):
-            ca, (xa, ya) = comp[a], pts[a]
-            for b in members[i + 1 :]:
-                cb = comp[b]
-                if ca != cb:
-                    key = (ca, cb) if ca < cb else (cb, ca)
-                    xb, yb = pts[b]
-                    cand = (math.hypot(xa - xb, ya - yb), a, b)
-                    if key not in best or cand < best[key]:
-                        best[key] = cand
-        self.links = sorted(cand + key for key, cand in best.items())
+        # EMST edges between components (the forced ones lie inside one),
+        # ascending by (weight, a, b).
+        self.links = sorted(
+            (wi, a, b, comp[a], comp[b]) for wi, (a, b) in zip(w, tree) if comp[a] != comp[b]
+        )
         self.unit_comp = [comp[unit[0]] for unit in engine.units]
         self.lower_bound = self.complete((0,) * len(engine.units))
 
@@ -255,13 +261,14 @@ class _World:
 def solve_pair(proj: PairProjection, m_limit: int = M_LIMIT) -> Solution:
     """Minimum-cost CSG of a 2-color projection, exact.
 
-    Refuses when the number of bichromatic points exceeds ``m_limit``.  The
-    result contains the forced edges of both colors and carries ratio 1.0;
-    edges are reported in base-instance indices.
+    Refuses when the number m of purple units (bichromatic points, those of
+    one ``group_merge`` block counted once) exceeds ``m_limit``.  The result
+    contains the forced edges of both colors and carries ratio 1.0; edges are
+    reported in base-instance indices.
     """
-    m = int(proj.purple().size)
+    m = len(_units(proj)[1])
     if m > m_limit:
-        raise RefusalError(f"m={m} bichromatic points exceed the limit of {m_limit}")
+        raise RefusalError(f"m={m} purple units exceed the limit of {m_limit}")
     return _Engine(proj).solve("exact2")
 
 

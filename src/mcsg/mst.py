@@ -5,6 +5,13 @@ two multichromatic points is guaranteed to lie inside some optimum solution,
 so every solver starts from these *forced edges*.  The pruning is realized as
 a deterministic ascending-weight rebuild: an MST edge is kept unless it would
 merge two components that each already hold a multichromatic point.
+
+The EMST is also the only edge source a minimum completion needs: with the
+edges F of any pre-merged blocks added, an MST of G plus F uses only edges of
+F and of MST(G), because every other pair is the longest edge on a cycle of
+MST(G) edges.  So completing a class around already connected blocks is
+Kruskal over its EMST edges with the blocks pre-united
+(``approx3.mst_completion`` and exact2's color worlds).
 """
 
 from __future__ import annotations
@@ -227,49 +234,3 @@ def all_forced_edges(inst: Instance) -> np.ndarray:
         return as_edges(())
     return as_edges(np.concatenate(parts, axis=0))
 
-
-# ---------------------------------------------------------------------------
-# component contraction
-
-
-class ContractionMap:
-    """Per-color component ids plus cheapest links between component pairs."""
-
-    def __init__(self, inst: Instance, forests: dict[int, ColorForest]):
-        self.inst = inst
-        self.forests = dict(forests)
-
-    def component_of(self, c: int, point: int) -> int:
-        forest = self.forests[c]
-        pos = np.flatnonzero(forest.points == point)
-        if pos.size == 0:
-            raise KeyError(f"point {point} not in class of color {c}")
-        return int(forest.components[pos[0]])
-
-    def cheapest_links(self, c: int, admissible=None) -> dict[tuple[int, int], tuple[float, int, int]]:
-        """Shortest connecting edge for every component pair of color c.
-
-        ``admissible(a, b)`` may veto point pairs (instance indices).  Returns
-        {(ci, cj): (weight, a, b)} with ci < cj, ties broken by (w, a, b).
-        """
-        forest = self.forests[c]
-        pts = forest.points
-        out: dict[tuple[int, int], tuple[float, int, int]] = {}
-        for i in range(pts.size):
-            for j in range(i + 1, pts.size):
-                ci, cj = int(forest.components[i]), int(forest.components[j])
-                if ci == cj:
-                    continue
-                a, b = int(pts[i]), int(pts[j])
-                if admissible is not None and not admissible(a, b):
-                    continue
-                key = (min(ci, cj), max(ci, cj))
-                w = float(np.hypot(*(self.inst.xy[a] - self.inst.xy[b])))
-                cand = (w, min(a, b), max(a, b))
-                if key not in out or cand < out[key]:
-                    out[key] = cand
-        return out
-
-
-def contract_components(inst: Instance, forests: dict[int, ColorForest]) -> ContractionMap:
-    return ContractionMap(inst, forests)

@@ -183,29 +183,8 @@ def brute_force(
             best_cost = partial
             best_edges = key
 
-    def dfs(idx: int, partial: float, included: list[tuple[int, int]]) -> None:
-        if connected():
-            record(partial, included)
-            return
-        if idx == m:
-            return
-        if lower_bound(idx, partial) > best_cost:
-            return
-        a, b = int(edges[idx, 0]), int(edges[idx, 1])
-        marks = [st.mark() for st in colors]
-        useful = False
-        for st in colors:
-            if a in st.pos and b in st.pos and st.union(a, b):
-                useful = True
-        if useful:
-            included.append((a, b))
-            dfs(idx + 1, partial + float(weights[idx]), included)
-            included.pop()
-        for st, mk in zip(colors, marks):
-            st.undo(mk)
-        dfs(idx + 1, partial, included)
-
-    # Seed the required edges once, up front.
+    # Seed the required edges once, up front; the search then walks the
+    # other candidates, since the required ones are in every subset.
     base_included: list[tuple[int, int]] = []
     base_cost = 0.0
     cand_index = {(int(edges[i, 0]), int(edges[i, 1])): i for i in range(m)}
@@ -217,38 +196,32 @@ def brute_force(
                 st.union(*pair)
         base_included.append(pair)
         base_cost += float(weights[cand_index[pair]])
+    rest = [i for i in range(m) if (int(edges[i, 0]), int(edges[i, 1])) not in req]
 
-    if req:
-        # Required edges are already merged; search the rest normally but skip
-        # re-including them (they are in every subset by construction).
-        rest = [i for i in range(m) if (int(edges[i, 0]), int(edges[i, 1])) not in req]
+    def dfs(k: int, partial: float, included: list[tuple[int, int]]) -> None:
+        if connected():
+            record(partial, included)
+            return
+        if k == len(rest):
+            return
+        idx = rest[k]
+        if lower_bound(idx, partial) > best_cost:
+            return
+        a, b = int(edges[idx, 0]), int(edges[idx, 1])
+        marks = [st.mark() for st in colors]
+        useful = False
+        for st in colors:
+            if a in st.pos and b in st.pos and st.union(a, b):
+                useful = True
+        if useful:
+            included.append((a, b))
+            dfs(k + 1, partial + float(weights[idx]), included)
+            included.pop()
+        for st, mk in zip(colors, marks):
+            st.undo(mk)
+        dfs(k + 1, partial, included)
 
-        def dfs_req(k: int, partial: float, included: list[tuple[int, int]]) -> None:
-            if connected():
-                record(partial, included)
-                return
-            if k == len(rest):
-                return
-            idx = rest[k]
-            if lower_bound(idx, partial) > best_cost:
-                return
-            a, b = int(edges[idx, 0]), int(edges[idx, 1])
-            marks = [st.mark() for st in colors]
-            useful = False
-            for st in colors:
-                if a in st.pos and b in st.pos and st.union(a, b):
-                    useful = True
-            if useful:
-                included.append((a, b))
-                dfs_req(k + 1, partial + float(weights[idx]), included)
-                included.pop()
-            for st, mk in zip(colors, marks):
-                st.undo(mk)
-            dfs_req(k + 1, partial, included)
-
-        dfs_req(0, base_cost, base_included)
-    else:
-        dfs(0, 0.0, [])
+    dfs(0, base_cost, base_included)
 
     if best_edges is None:
         raise RefusalError("no colored spanning graph exists over the candidate edges")

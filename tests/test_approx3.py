@@ -114,3 +114,46 @@ def test_mst_completion_examples():
     assert free.tolist() == [[0, 1], [1, 2]]
     merged = approx3.mst_completion(inst, members, [{0, 1}])
     assert merged.tolist() == [[1, 2]]
+
+
+def brute_completion(inst, members, merged):
+    """Reference completion: cheapest pair per block pair over all member
+    pairs, then Prim on the contracted blocks, ties by (w, a, b)."""
+    members = [int(p) for p in members]
+    comp = {p: p for p in members}
+    for block in merged:
+        inside = [p for p in members if p in block]
+        for p in inside:
+            comp[p] = inside[0]
+    best = {}
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            ca, cb = comp[a], comp[b]
+            if ca != cb:
+                key = (min(ca, cb), max(ca, cb))
+                cand = (float(np.hypot(*(inst.xy[a] - inst.xy[b]))), min(a, b), max(a, b))
+                best[key] = min(best.get(key, cand), cand)
+    groups = sorted(set(comp.values()))
+    tree, out = {groups[0]}, []
+    while len(tree) < len(groups):
+        w, a, b = min(cand for (ca, cb), cand in best.items() if (ca in tree) != (cb in tree))
+        tree |= {comp[a], comp[b]}
+        out.append((a, b))
+    return core.as_edges(out)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_mst_completion_matches_brute_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 59
+    gen = core.generate_collinear if seed % 2 else core.generate_random
+    inst = gen(n + 4, 1, 0.0, seed)
+    members = rng.permutation(inst.n)[:n]  # n members in no particular order
+    # random disjoint blocks over all points, some outside the class
+    labels = rng.integers(0, max(1, inst.n // 3), size=inst.n)
+    merged = [frozenset(np.flatnonzero(labels == b).tolist()) for b in range(labels.max() + 1)]
+    merged = [b for b in merged if len(b) > 1 and rng.random() < 0.6]
+    got = approx3.mst_completion(inst, members, merged)
+    want = brute_completion(inst, members, merged)
+    assert np.array_equal(got, want)
+    assert core.solution_cost(inst, got) == pytest.approx(core.solution_cost(inst, want), rel=1e-12)

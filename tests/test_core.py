@@ -149,3 +149,44 @@ def test_set_partitions_are_restricted_growth_strings_in_order():
     assert list(core.set_partitions(3)) == [
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)
     ]
+
+
+def test_coincident_points_found_in_any_order():
+    with pytest.raises(core.FormatError, match="coincident"):
+        core.Instance(1, [(1, 2, {1}), (1, 3, {1}), (0, 0, {1}), (1, 2, {1})])
+    # equal x or equal y alone is not a coincidence
+    assert core.Instance(1, [(1, 2, {1}), (1, 3, {1}), (2, 2, {1})]).n == 3
+
+
+def test_as_edges_orients_sorts_and_dedupes():
+    got = core.as_edges([(3, 1), (1, 3), (0, 2), (2, 0), (5, 4), (0, 1)])
+    assert got.dtype == np.int64
+    assert got.tolist() == [[0, 1], [0, 2], [1, 3], [4, 5]]
+    assert core.as_edges(np.array([[2, 1], [1, 2]], dtype=np.int32)).tolist() == [[1, 2]]
+
+
+def test_as_edges_empty():
+    for empty in ((), [], np.zeros((0, 2), dtype=np.int64), np.zeros(0)):
+        got = core.as_edges(empty, 5)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+
+def test_as_edges_rejects_self_loops_and_out_of_range():
+    with pytest.raises(core.FormatError, match="self-loop"):
+        core.as_edges([(0, 1), (2, 2)])
+    with pytest.raises(core.FormatError, match="out of range"):
+        core.as_edges([(0, 5)], 5)
+    with pytest.raises(core.FormatError, match="out of range"):
+        core.as_edges([(-1, 2)], 5)
+    assert core.as_edges([(0, 4)], 5).tolist() == [[0, 4]]
+
+
+def test_as_edges_large_indices():
+    big = 10**6
+    got = core.as_edges([(big, 0), (big - 1, big), (0, big), (3, big - 1)], big + 1)
+    assert got.tolist() == [[0, big], [3, big - 1], [big - 1, big]]
+    rng = np.random.default_rng(0)
+    raw = rng.integers(0, big + 1, size=(500, 2))
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    want = np.unique(np.sort(raw, axis=1), axis=0)
+    assert np.array_equal(core.as_edges(raw, big + 1), want)

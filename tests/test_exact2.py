@@ -39,6 +39,9 @@ def test_m_limit_refusal():
     over = core.generate_random(exact2.M_LIMIT + 1, 2, 1.0, 0)
     with pytest.raises(core.RefusalError, match=f"limit of {exact2.M_LIMIT}$"):
         exact2.solve_pair(proj(over))
+    # the limit counts units: one group_merge block of 12 purple points is one
+    one_unit = proj(core.generate_random(12, 2, 1.0, 0), (frozenset(range(12)),))
+    assert exact2.solve_pair(one_unit).cost == 0.0
 
 
 def test_completion_cost_examples():

@@ -121,20 +121,3 @@ def test_forced_edges_subset_of_mst_and_component_count():
                     pts = forest.points[forest.components == comp]
                     assert int(inst.multichromatic()[pts].sum()) == 1
 
-
-def test_contract_components_example():
-    inst = core.Instance(2, [(0, 0, {1, 2}), (1, 0, {1}), (3, 0, {1, 2})])
-    forests = {1: mst.forced_edges(inst, 1)}
-    cmap = mst.contract_components(inst, forests)
-    assert cmap.component_of(1, 0) == cmap.component_of(1, 1)
-    assert cmap.component_of(1, 0) != cmap.component_of(1, 2)
-    links = cmap.cheapest_links(1)
-    ((_, link),) = links.items()
-    assert link == (2.0, 1, 2)
-
-
-def test_contract_components_single_block():
-    inst = core.Instance(1, [(0, 0, {1}), (1, 0, {1}), (2, 0, {1})])
-    cmap = mst.contract_components(inst, {1: mst.forced_edges(inst, 1)})
-    assert all(cmap.component_of(1, i) == 0 for i in range(3))
-    assert cmap.cheapest_links(1) == {}
