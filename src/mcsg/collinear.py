@@ -18,8 +18,10 @@ which keeps the state space well below the Bell-number ceiling.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -104,15 +106,8 @@ class CutEdgeSet:
     edges: tuple[tuple[int, int, int], ...]     # (mask, a, b) aligned with gamma
 
 
-@dataclass(frozen=True)
-class PartitionVector:
-    """Per color: a canonical restricted-growth partition of its cut edges."""
-
-    parts: tuple[tuple[int, ...], ...]          # index c-1 -> RGS over the color's edges
-
-
 class _Prep:
-    """Sorted view of a collinear instance plus anchor tables per color set."""
+    """Sorted view of a collinear instance plus its table of cut edges."""
 
     def __init__(self, inst: Instance, k_guard: int):
         if inst.k > k_guard:
@@ -124,69 +119,48 @@ class _Prep:
         self.t = t
         self.masks = inst.masks[order].astype(np.int64)
         self.n = inst.n
-        self.gammas = list(range(1, 1 << self.k))
         n = self.n
-        # left_anchor[g][i]: largest j <= i carrying all of g, else -1;
-        # right_anchor[g][i]: smallest j >= i carrying all of g, else n.
-        self.left_anchor = {}
-        self.right_anchor = {}
-        for g in self.gammas:
+        # edge_at[cut]: {g: (a, b)} for each color set g, ascending, whose
+        # candidate edge at the 1-based cut exists: a is the last point
+        # <= cut - 1 carrying all of g, b the first point >= cut, and the two
+        # share exactly g.  Cut n (and the unused slot 0) has no edges.
+        self.edge_at: list[dict[int, tuple[int, int]]] = [{} for _ in range(n + 1)]
+        idx = np.arange(n)
+        for g in range(1, 1 << self.k):
             hasg = (self.masks & g) == g
-            la = np.where(hasg, np.arange(n), -1)
-            np.maximum.accumulate(la, out=la)
-            ra = np.where(hasg, np.arange(n), n)
-            self.right_anchor[g] = np.minimum.accumulate(ra[::-1])[::-1].copy()
-            self.left_anchor[g] = la
-        self.has_before = {}
-        self.has_after = {}
-        for c in range(1, self.k + 1):
-            hasc = (self.masks & (1 << (c - 1))) != 0
-            before = np.zeros(n + 1, dtype=bool)
-            np.logical_or.accumulate(hasc, out=before[1:])
-            after = np.zeros(n + 1, dtype=bool)
-            after[:n] = np.logical_or.accumulate(hasc[::-1])[::-1]
-            self.has_before[c] = before
-            self.has_after[c] = after
+            la = np.maximum.accumulate(np.where(hasg, idx, -1))
+            ra = np.minimum.accumulate(np.where(hasg, idx, n)[::-1])[::-1]
+            a, b = la[:-1], ra[1:]
+            ok = (a >= 0) & (b < n)
+            ok[ok] = (self.masks[a[ok]] & self.masks[b[ok]]) == g
+            for cut0, ea, eb in zip(np.flatnonzero(ok).tolist(), a[ok].tolist(), b[ok].tolist()):
+                self.edge_at[cut0 + 1][g] = (ea, eb)
+        # seen[i]: colors among the first i points; split[i]: colors on both
+        # sides of cut i, which a valid cut-edge set must cover.
+        seen = np.zeros(n + 1, dtype=np.int64)
+        np.bitwise_or.accumulate(self.masks, out=seen[1:])
+        later = np.zeros(n + 1, dtype=np.int64)
+        later[:n] = np.bitwise_or.accumulate(self.masks[::-1])[::-1]
+        self.seen = seen.tolist()
+        self.split = (seen & later).tolist()
 
     def cut_edge(self, cut: int, g: int) -> tuple[int, int] | None:
         """Unique candidate edge for color set g at a 1-based cut, or None."""
         if not 1 <= cut <= self.n:
             raise ValueError(f"cut index out of range: {cut}")
-        if cut == self.n:
-            return None
-        a = int(self.left_anchor[g][cut - 1])
-        b = int(self.right_anchor[g][cut])
-        if a < 0 or b >= self.n:
-            return None
-        if int(self.masks[a] & self.masks[b]) != g:
-            return None  # g is not realizable as a full shared-color set here
-        return a, b
+        return self.edge_at[cut].get(g)
 
     def feasible(self, cut: int) -> list[int]:
-        return [g for g in self.gammas if self.cut_edge(cut, g) is not None]
+        return list(self.edge_at[cut])
 
     def valid(self, cut: int, gs) -> bool:
         cover = 0
         for g in gs:
             cover |= g
-        for c in range(1, self.k + 1):
-            if self.has_before[c][cut] and self.has_after[c][cut]:
-                if not (cover >> (c - 1)) & 1:
-                    return False
-        return True
+        return not self.split[cut] & ~cover
 
     def weight(self, a: int, b: int) -> float:
         return float(self.t[b] - self.t[a])
-
-    def make_cutset(self, cut: int, gs) -> CutEdgeSet | None:
-        gs = tuple(sorted(int(g) for g in gs))
-        edges = []
-        for g in gs:
-            e = self.cut_edge(cut, g)
-            if e is None:
-                return None
-            edges.append((g, e[0], e[1]))
-        return CutEdgeSet(i=cut, gamma=gs, edges=tuple(edges))
 
 
 def _as_mask(g, k: int) -> int:
@@ -202,7 +176,13 @@ def cut_edges(inst: Instance, i: int, gamma, k_guard: int = DEFAULT_K_GUARD) -> 
     """Materialize the unique edge per color set at cut i; None if infeasible."""
     prep = _Prep(inst, k_guard)
     gs = tuple(sorted(_as_mask(g, inst.k) for g in gamma))
-    return prep.make_cutset(i, gs)
+    edges = []
+    for g in gs:
+        e = prep.cut_edge(i, g)
+        if e is None:
+            return None
+        edges.append((g, *e))
+    return CutEdgeSet(i=i, gamma=gs, edges=tuple(edges))
 
 
 def is_valid_cut(inst: Instance, cutset: CutEdgeSet, k_guard: int = DEFAULT_K_GUARD) -> bool:
@@ -211,73 +191,15 @@ def is_valid_cut(inst: Instance, cutset: CutEdgeSet, k_guard: int = DEFAULT_K_GU
     return prep.valid(cutset.i, cutset.gamma)
 
 
-def compatible(prev: CutEdgeSet, nxt: CutEdgeSet) -> bool:
-    """Consecutive cut-edge sets must differ only in edges touching p_i."""
-    if nxt.i != prev.i + 1:
-        raise ValueError("cut indices must be consecutive")
-    pt = nxt.i - 1  # 0-based index of the point between the cuts
-    pa = {(a, b) for (_, a, b) in prev.edges}
-    pb = {(a, b) for (_, a, b) in nxt.edges}
-    return all(pt in e for e in pa.symmetric_difference(pb))
-
-
-def _color_edges(edges: tuple[tuple[int, int, int], ...], c: int) -> list[tuple[int, int, int]]:
-    bit = 1 << (c - 1)
-    return [e for e in edges if e[0] & bit]
-
-
-def _hat_color(
-    prev_c: list[tuple[int, int, int]],
-    next_c: list[tuple[int, int, int]],
-    rgs: tuple[int, ...],
-    pt: int,
-) -> tuple[int, ...]:
-    """Relate prev-cut edges via the suffix components implied by (next, pi)."""
-    if len(prev_c) <= 1:
-        return (0,) * len(prev_c)
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    blocks: dict[int, list[int]] = {}
-    for j in range(len(next_c)):
-        blocks.setdefault(rgs[j], []).append(j)
-    for blk in blocks.values():
-        for j1, j2 in zip(blk, blk[1:]):
-            union(("b", next_c[j1][2]), ("b", next_c[j2][2]))
-    for _, a, b in next_c:
-        if a == pt:
-            union(("p",), ("b", b))
-    labels = [find(("p",) if b == pt else ("b", b)) for _, _, b in prev_c]
-    remap: dict = {}
-    return tuple(remap.setdefault(lb, len(remap)) for lb in labels)
-
-
-def hat_pi(prev: CutEdgeSet, nxt: CutEdgeSet, pi_next: PartitionVector) -> PartitionVector:
-    """Pull a suffix partition vector at cut i back to cut i-1."""
-    if not compatible(prev, nxt):
-        raise ValueError("cut-edge sets are not compatible")
-    pt = nxt.i - 1
-    parts = []
-    for c in range(1, len(pi_next.parts) + 1):
-        prev_c = _color_edges(prev.edges, c)
-        next_c = _color_edges(nxt.edges, c)
-        parts.append(_hat_color(prev_c, next_c, pi_next.parts[c - 1], pt))
-    return PartitionVector(parts=tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # the DP
+
+# Refuse a line as soon as one cut would hold more DP states than this, so a
+# refused solve stays bounded in time and memory however fast the states grow
+# (one state of a k = 4 line can fan out to over 100,000 at the next cut).
+# The largest cut of the benchmark's lines holds 2,396 states; seed-7 lines
+# peak at 11,968 for k = 3, n = 2000 and at 47,150 for k = 4, n = 80.
+MAX_STATES_PER_CUT = 100_000
 
 
 @dataclass
@@ -298,22 +220,6 @@ def _subsets(items):
         yield from combinations(items, r)
 
 
-def _bell(t: int) -> int:
-    table = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-    return table[t] if t < len(table) else sum(1 for _ in set_partitions(t))
-
-
-_PARTITIONS_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _partitions_of(t: int) -> list[tuple[int, ...]]:
-    got = _PARTITIONS_CACHE.get(t)
-    if got is None:
-        got = list(set_partitions(t))
-        _PARTITIONS_CACHE[t] = got
-    return got
-
-
 class _CutShape:
     """Derived structure of one (cut, gamma-set): endpoint groups per color.
 
@@ -322,29 +228,28 @@ class _CutShape:
     component, so nothing finer can ever be realized.
     """
 
-    __slots__ = ("cut", "gs", "edges", "bs", "starts_at_pt", "anchored_bs")
+    __slots__ = ("edges", "bs", "starts", "anchored")
 
     def __init__(self, prep: _Prep, cut: int, gs: tuple[int, ...]):
-        self.cut = cut
-        self.gs = gs
-        cs = prep.make_cutset(cut, gs)
-        self.edges = cs.edges
+        edge_at = prep.edge_at[cut]
+        self.edges = tuple((g, *edge_at[g]) for g in gs)
         pt = cut - 1
-        k = prep.k
-        self.bs = []             # per color: sorted distinct right endpoints
-        self.starts_at_pt = []   # per color: b's reached by an edge with a == pt
-        self.anchored_bs = []    # per color: b's reached by an edge with a < pt
-        for c in range(1, k + 1):
-            ec = _color_edges(self.edges, c)
-            self.bs.append(tuple(sorted({e[2] for e in ec})))
-            self.starts_at_pt.append(frozenset(e[2] for e in ec if e[1] == pt))
-            self.anchored_bs.append(frozenset(e[2] for e in ec if e[1] < pt))
-
-    def pi_vectors(self) -> list[tuple]:
-        options: list[tuple] = [()]
-        for c in range(len(self.bs)):
-            options = [pre + (p,) for pre in options for p in _partitions_of(len(self.bs[c]))]
-        return options
+        self.bs = []         # per color: sorted distinct right endpoints
+        self.starts = []     # per color: bit j set if an edge from p_i reaches bs[j]
+        self.anchored = []   # per color: bit j set if an edge from left of p_i reaches bs[j]
+        for c in range(prep.k):
+            bit = 1 << c
+            ec = [(a, b) for g, a, b in self.edges if g & bit]
+            bs = sorted({b for _, b in ec})
+            starts = anchored = 0
+            for a, b in ec:
+                if a == pt:
+                    starts |= 1 << bs.index(b)
+                else:
+                    anchored |= 1 << bs.index(b)
+            self.bs.append(tuple(bs))
+            self.starts.append(starts)
+            self.anchored.append(anchored)
 
 
 def _hat_b(
@@ -384,64 +289,118 @@ def _hat_b(
     return tuple(remap.setdefault(lb, len(remap)) for lb in labels)
 
 
-def _d2_color_ok(shape: _CutShape, c0: int, rgs: tuple[int, ...]) -> bool:
+def _d2_color_ok(rgs: tuple[int, ...], starts: int, anchored: int) -> bool:
     """Per-color (d2) alternative: a p_i edge tied to an anchored suffix comp."""
-    bs = shape.bs[c0]
-    idx = {b: j for j, b in enumerate(bs)}
-    start_classes = {rgs[idx[b]] for b in shape.starts_at_pt[c0]}
-    if not start_classes:
-        return False
-    anchored = {rgs[idx[b]] for b in shape.anchored_bs[c0]}
-    return bool(start_classes & anchored)
+    start_classes = {r for j, r in enumerate(rgs) if starts >> j & 1}
+    return any(anchored >> j & 1 and r in start_classes for j, r in enumerate(rgs))
 
 
 def _dp(prep: _Prep, stats: DpStats | None):
+    """Minimum cost and the edges of an optimum, by the DP over cuts.
+
+    A state at a cut is a gamma-set gs (the crossing color sets) plus one
+    partition per color of the cut's right endpoints.  The pull-back of a
+    next-cut partition to the previous cut depends only on the relative shape
+    of the two cuts, so per solve the hat maps are cached by that shape and
+    the previous-partition -> next-partitions products by the maps they
+    combine.  The traceback keeps one parent index and one dropped-edge id
+    per state and cut.
+    """
     n, k = prep.n, prep.k
-    empty_pi = tuple(() for _ in range(k))
     if n == 1:
         return 0.0, []
 
-    shapes: dict[tuple[int, tuple[int, ...]], _CutShape] = {}
+    partitions: dict[int, list[tuple[int, ...]]] = {}
 
-    def shape_of(cut: int, gs: tuple[int, ...]) -> _CutShape:
-        key = (cut, gs)
-        got = shapes.get(key)
+    def partitions_of(t: int) -> list[tuple[int, ...]]:
+        got = partitions.get(t)
         if got is None:
-            got = _CutShape(prep, cut, gs)
-            shapes[key] = got
+            got = partitions[t] = list(set_partitions(t))
         return got
 
-    def note_stats(cut: int, cut_states: dict) -> None:
+    # hat_maps[(previous endpoints as next positions or -1 for p_i, number of
+    # next endpoints, starts mask, anchored mask or -1 without (d2))]:
+    # (id, {hat partition: next partitions}), or None when no partition is left.
+    hat_maps: dict[tuple, tuple[int, dict] | None] = {}
+
+    def hat_map(key: tuple) -> tuple[int, dict] | None:
+        if key in hat_maps:
+            return hat_maps[key]
+        prev_pos, size, starts, anchored = key
+        ends = tuple(range(size))
+        start_set = frozenset(j for j in ends if starts >> j & 1)
+        mp: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for rgs in partitions_of(size):
+            if anchored >= 0 and not _d2_color_ok(rgs, starts, anchored):
+                continue
+            mp.setdefault(_hat_b(prev_pos, ends, start_set, rgs, -1), []).append(rgs)
+        got = hat_maps[key] = (len(hat_maps), mp) if mp else None
+        return got
+
+    # A partition vector (one RGS per color) is handled by its id in pk_list.
+    pk_ids: dict[tuple, int] = {}
+    pk_list: list[tuple] = []
+
+    def pk_id(pk: tuple) -> int:
+        got = pk_ids.get(pk)
+        if got is None:
+            got = pk_ids[pk] = len(pk_list)
+            pk_list.append(pk)
+        return got
+
+    # pulls[map ids per color]: {previous pk id: next pk ids, empty if unreachable}
+    pulls: dict[tuple[int, ...], dict[int, list[int]]] = {}
+
+    def note_stats(states: dict, shapes: dict[tuple[int, ...], _CutShape], count: int) -> None:
         if stats is None:
             return
-        stats.per_cut_states.append(len(cut_states))
+        stats.per_cut_states.append(count)
         biggest = 1
-        for gs in {gs for gs, _pk in cut_states}:
-            sh = shape_of(cut, gs)
-            for c in range(k):
-                biggest = max(biggest, _bell(len(sh.bs[c])))
+        for gs in states:
+            for bs in shapes[gs].bs:
+                biggest = max(biggest, len(partitions_of(len(bs))))
         stats.per_cut_max_pi_per_color.append(biggest)
 
+    def over_budget(cut: int, at_least: int) -> RefusalError:
+        return RefusalError(
+            f"collinear DP: cut {cut} of {n} needs at least {at_least} states, "
+            f"{at_least - MAX_STATES_PER_CUT} over the budget of {MAX_STATES_PER_CUT} states "
+            f"per cut (MAX_STATES_PER_CUT)"
+        )
+
     # cut 1: every valid cut-edge set with every partition vector costs 0
-    states: dict = {}
+    states: dict[tuple[int, ...], dict[int, int]] = {}
+    shapes: dict[tuple[int, ...], _CutShape] = {}
+    count = 0
     for gs in _subsets(prep.feasible(1)):
         if not prep.valid(1, gs):
             continue
-        for pk in shape_of(1, gs).pi_vectors():
-            states[(gs, pk)] = (0.0, None, ())
-    history = [states]
-    note_stats(1, states)
+        sh = shapes[gs] = _CutShape(prep, 1, gs)
+        group = states[gs] = {}
+        opts = [partitions_of(len(bs)) for bs in sh.bs]
+        count_after = count + prod(map(len, opts))
+        if count_after > MAX_STATES_PER_CUT:
+            raise over_budget(1, count_after)
+        for pk in product(*opts):
+            group[pk_id(pk)] = count
+            count += 1
+    vals = [0.0] * count
+    note_stats(states, shapes, count)
+    # trace[cut - 2]: (parent index per state, dropped-edge id per state, dropped edges)
+    trace: list[tuple[array, array, list[tuple[tuple[int, int], ...]]]] = []
 
     for cut in range(2, n + 1):
         pt = cut - 1
         pt_mask = int(prep.masks[pt])
-        new_states: dict = {}
-        l_pool_all = [g for g in prep.feasible(cut) if prep.cut_edge(cut, g)[0] == pt]
-        by_gs: dict[tuple[int, ...], list[tuple[tuple, float]]] = {}
-        for (gs, pk), (value, _p, _d) in states.items():
-            by_gs.setdefault(gs, []).append((pk, value))
-        for prev_gs, items in by_gs.items():
-            prev_sh = shape_of(cut - 1, prev_gs)
+        prev_shapes, shapes = shapes, {}
+        new_states: dict[tuple[int, ...], dict[int, int]] = {}
+        new_vals: list[float] = []
+        new_par: list[int] = []
+        new_drop: list[int] = []
+        drops: list[tuple[tuple[int, int], ...]] = []
+        l_pool_all = [g for g, (a, _b) in prep.edge_at[cut].items() if a == pt]
+        for prev_gs, items in states.items():
+            prev_sh = prev_shapes[prev_gs]
             keep, d_edges, d_mask, charge = [], [], 0, 0.0
             for g, a, b in prev_sh.edges:
                 if b == pt:
@@ -450,65 +409,80 @@ def _dp(prep: _Prep, stats: DpStats | None):
                     charge += prep.weight(a, b)
                 else:
                     keep.append(g)
-            d_edges = tuple(d_edges)
+            drop_id = len(drops)
+            drops.append(tuple(d_edges))
+            need_d2 = pt_mask & prep.seen[pt] & ~d_mask
             l_pool = [g for g in l_pool_all if g not in keep]
             for l_sub in _subsets(l_pool):
                 next_gs = tuple(sorted(keep + list(l_sub)))
                 if not prep.valid(cut, next_gs):
                     continue
-                sh = shape_of(cut, next_gs)
-                # Per color, group the partition choices by the hat key they
+                sh = shapes.get(next_gs)
+                if sh is None:
+                    sh = shapes[next_gs] = _CutShape(prep, cut, next_gs)
+                # Per color, the partition choices grouped by the hat they
                 # induce; (d2) is a per-color filter.
-                maps: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = []
-                dead = False
+                maps = []
                 for c in range(k):
-                    bit = 1 << c
-                    need_d2 = (
-                        (pt_mask & bit)
-                        and prep.has_before[c + 1][pt]
-                        and not (d_mask & bit)
-                    )
-                    mp: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-                    for rgs in _partitions_of(len(sh.bs[c])):
-                        if need_d2 and not _d2_color_ok(sh, c, rgs):
-                            continue
-                        h = _hat_b(prev_sh.bs[c], sh.bs[c], sh.starts_at_pt[c], rgs, pt)
-                        mp.setdefault(h, []).append(rgs)
-                    if not mp:
-                        dead = True
+                    nb = sh.bs[c]
+                    got = hat_map((
+                        tuple(-1 if b == pt else nb.index(b) for b in prev_sh.bs[c]),
+                        len(nb),
+                        sh.starts[c],
+                        sh.anchored[c] if need_d2 >> c & 1 else -1,
+                    ))
+                    if got is None:
                         break
-                    maps.append(mp)
-                if dead:
-                    continue
-                for kappa, value in items:
-                    opts = [maps[c].get(kappa[c]) for c in range(k)]
-                    if any(o is None for o in opts):
-                        continue
-                    cand = value + charge
-                    stack = [()]
-                    for c in range(k):
-                        stack = [pre + (rgs,) for pre in stack for rgs in opts[c]]
-                    for pk in stack:
-                        key = (next_gs, pk)
-                        cur = new_states.get(key)
-                        if cur is None or cand < cur[0]:
-                            new_states[key] = (cand, (prev_gs, kappa), d_edges)
-        if not new_states:
+                    maps.append(got)
+                else:
+                    memo = pulls.setdefault(tuple(i for i, _ in maps), {})
+                    group = new_states.setdefault(next_gs, {})
+                    for kappa, j in items.items():
+                        pks = memo.get(kappa)
+                        if pks is None:
+                            prev_pk = pk_list[kappa]
+                            opts = [mp.get(prev_pk[c]) for c, (_, mp) in enumerate(maps)]
+                            if None in opts:
+                                pks = memo[kappa] = []
+                            else:
+                                # the products are distinct states of this cut
+                                size = prod(map(len, opts))
+                                if size > MAX_STATES_PER_CUT:
+                                    raise over_budget(cut, size)
+                                pks = memo[kappa] = [pk_id(pk) for pk in product(*opts)]
+                        if not pks:
+                            continue
+                        cand = vals[j] + charge
+                        for pk in pks:
+                            idx = group.get(pk)
+                            if idx is None:
+                                if len(new_vals) == MAX_STATES_PER_CUT:
+                                    raise over_budget(cut, MAX_STATES_PER_CUT + 1)
+                                group[pk] = len(new_vals)
+                                new_vals.append(cand)
+                                new_par.append(j)
+                                new_drop.append(drop_id)
+                            elif cand < new_vals[idx]:
+                                new_vals[idx] = cand
+                                new_par[idx] = j
+                                new_drop[idx] = drop_id
+                    if not group:
+                        del new_states[next_gs]
+        if not new_vals:
             raise RuntimeError("collinear DP ran out of states (internal error)")
-        states = new_states
-        history.append(states)
-        note_stats(cut, states)
+        states, vals = new_states, new_vals
+        trace.append((array("i", new_par), array("i", new_drop), drops))
+        note_stats(states, shapes, len(vals))
 
-    final_key = ((), empty_pi)
-    if final_key not in states:
+    final = states.get((), {}).get(pk_ids.get(tuple(() for _ in range(k))))
+    if final is None:
         raise RuntimeError("collinear DP missed the terminal state (internal error)")
-    cost = states[final_key][0]
+    cost = vals[final]
     edges: list[tuple[int, int]] = []
-    key = final_key
-    for cut in range(n, 1, -1):
-        _, parent, d_edges = history[cut - 1][key]
-        edges.extend(d_edges)
-        key = parent
+    j = final
+    for parents, drop_ids, drops in reversed(trace):
+        edges.extend(drops[drop_ids[j]])
+        j = parents[j]
     return cost, edges
 
 
