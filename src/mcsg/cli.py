@@ -8,6 +8,7 @@ check before it is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -110,6 +111,7 @@ class InternalInvariantError(RuntimeError):
     pass
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves
 def _build_parser() -> _Parser:
     p = _Parser(prog="mcsg", description="Minimum colored spanning graph toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -253,7 +255,7 @@ def _cmd_prune(args) -> int:
     inst = _read_instance(args.input)
     for c in range(1, inst.k + 1):
         forest = mst.forced_edges(inst, c)
-        pairs = " ".join(f"({a},{b})" for a, b in forest.edges)
+        pairs = " ".join(f"({a},{b})" for a, b in forest.edges.tolist())
         print(f"color {c}: {forest.edges.shape[0]} forced edges "
               f"({forest.n_components} components) {pairs}")
     return EXIT_OK

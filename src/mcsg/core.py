@@ -193,13 +193,28 @@ def as_edges(edges, n: int | None = None) -> np.ndarray:
     hi = arr.max(axis=1)
     if (lo == hi).any():
         raise FormatError("self-loop edge")
-    base = lo.min()
-    if n is not None and (base < 0 or hi.max() >= n):
+    base, top = lo.min(), hi.max()
+    if n is not None and (base < 0 or top >= n):
         raise FormatError("edge endpoint out of range")
-    # One key per edge that sorts like (lo, hi): a 1-D unique, not a row sort.
-    span = hi.max() - base + 1
-    key = np.unique((lo - base) * span + (hi - base))
-    return np.stack([key // span + base, key % span + base], axis=1)
+    # One key per edge that sorts like (lo, hi), deduped by np.sort plus an
+    # adjacent compare: np.unique hashes int keys (numpy 2.4), which is an
+    # order of magnitude slower than sorting them.
+    span = top - base + 1
+    key = np.sort((lo - base) * span + (hi - base))
+    if key.size > 1:
+        key = key[first_of_runs(key)]
+    out = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, span, out=(out[:, 0], out[:, 1]))
+    out += base
+    return out
+
+
+def first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first entry of each run of equal sorted keys."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 def merge_edges(*edge_sets) -> np.ndarray:
@@ -315,15 +330,13 @@ def set_partitions(n: int):
 
 
 def instance_to_json(inst: Instance) -> str:
+    masks = inst.masks.tolist()
+    colors = {m: sorted(colors_of(m)) for m in set(masks)}
     doc = {
         "k": inst.k,
         "points": [
-            {
-                "x": float(inst.xy[i, 0]),
-                "y": float(inst.xy[i, 1]),
-                "colors": sorted(colors_of(int(inst.masks[i]))),
-            }
-            for i in range(inst.n)
+            {"x": x, "y": y, "colors": colors[m]}
+            for (x, y), m in zip(inst.xy.tolist(), masks)
         ],
     }
     return json.dumps(doc)
@@ -332,8 +345,8 @@ def instance_to_json(inst: Instance) -> str:
 def load_instance(source: str | bytes | IO) -> Instance:
     """Parse the JSON instance format, preserving point order.
 
-    Raises FormatError for malformed documents, out-of-range colors, empty
-    color sets, bad k, or coincident points.
+    Raises FormatError for malformed documents, colors that are not integers
+    in 1..k, empty color sets, bad k, or coincident points.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -345,18 +358,32 @@ def load_instance(source: str | bytes | IO) -> Instance:
         raise FormatError(f"malformed instance document: {exc}") from exc
     if not isinstance(doc, dict) or "k" not in doc or "points" not in doc:
         raise FormatError("instance document needs 'k' and 'points'")
-    k = doc["k"]
-    if not isinstance(k, int) or k < 1:
-        raise FormatError(f"k must be a positive integer, got {k!r}")
-    pts = []
-    for rec in doc["points"]:
-        try:
-            pts.append((float(rec["x"]), float(rec["y"]), [int(c) for c in rec["colors"]]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise FormatError(f"malformed point record: {rec!r}") from exc
-        if not pts[-1][2]:
-            raise FormatError("empty color set on a point")
-    return Instance(k, [(x, y, frozenset(cs)) for x, y, cs in pts])
+    k, records = doc["k"], doc["points"]
+    if type(k) is not int or not 1 <= k <= MAX_COLORS:
+        raise FormatError(f"k must be an integer in 1..{MAX_COLORS}, got {k!r}")
+    if not isinstance(records, list):
+        raise FormatError("'points' must be a list of point records")
+    xs, ys, masks = [], [], []
+    try:
+        for rec in records:
+            mask = 0
+            for c in rec["colors"]:
+                if type(c) is not int:  # also rejects true/false and 2.0
+                    raise FormatError(f"color must be an integer, got {c!r}")
+                if not 1 <= c <= k:
+                    raise FormatError(f"color out of range: {c} (k={k})")
+                mask |= 1 << (c - 1)
+            if not mask:
+                raise FormatError("empty color set on a point")
+            xs.append(float(rec["x"]))
+            ys.append(float(rec["y"]))
+            masks.append(mask)
+    except FormatError:  # a ValueError, but its message is the better one
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
+        raise FormatError(f"malformed point record: {rec!r}") from exc
+    return Instance.from_arrays(k, np.stack([np.array(xs, dtype=np.float64),
+                                             np.array(ys, dtype=np.float64)], axis=1), masks)
 
 
 def save_instance(inst: Instance, target: str | IO) -> None:

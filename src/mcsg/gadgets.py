@@ -26,12 +26,14 @@ plan level, and the mst-module recomputation cross-checks it on test corpora.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mst
-from .core import FormatError, Instance, Solution, as_edges, make_solution, merge_edges
+from .core import (FormatError, Instance, Solution, as_edges, first_of_runs, make_solution,
+                   merge_edges)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -510,6 +512,15 @@ class _Plan:
         for aid, m in enumerate(self.active_mask):
             if m & color:
                 registered.add(self.active_xy[aid])
+        # registered points by row and by column, sorted, so that the hits
+        # inside one segment are a bisected slice
+        by_row: dict[int, list[int]] = {}
+        by_col: dict[int, list[int]] = {}
+        for px, py in registered:
+            by_row.setdefault(py, []).append(px)
+            by_col.setdefault(px, []).append(py)
+        for line in (*by_row.values(), *by_col.values()):
+            line.sort()
         verts: set[tuple[int, int]] = set()
         n_edges = 0
         parent: dict = {}
@@ -526,23 +537,21 @@ class _Plan:
             if rx != ry:
                 parent[ry] = rx
 
+        def inside(line: list[int], a: int, b: int) -> list[int]:
+            """Entries of a sorted line strictly between a and b, a multiple
+            of 5 from a, in order from a to b."""
+            lo, hi = (a, b) if a < b else (b, a)
+            got = [v for v in line[bisect_right(line, lo):bisect_left(line, hi)]
+                   if (v - a) % 5 == 0]
+            return got if a < b else got[::-1]
+
         for w in wires:
             stops = [w.pts[0]]
             for (x0, y0), (x1, y1) in w.segments():
-                hits = []
                 if y0 == y1 and x0 != x1:
-                    lo, hi = sorted((x0, x1))
-                    for (px, py) in registered:
-                        if py == y0 and lo < px < hi and (px - x0) % 5 == 0:
-                            hits.append((px, py))
-                    hits.sort(key=lambda p: p[0], reverse=x1 < x0)
+                    stops.extend((px, y0) for px in inside(by_row[y0], x0, x1))
                 elif x0 == x1 and y0 != y1:
-                    lo, hi = sorted((y0, y1))
-                    for (px, py) in registered:
-                        if px == x0 and lo < py < hi and (py - y0) % 5 == 0:
-                            hits.append((px, py))
-                    hits.sort(key=lambda p: p[1], reverse=y1 < y0)
-                stops.extend(hits)
+                    stops.extend((x0, py) for py in inside(by_col[x0], y0, y1))
                 stops.append((x1, y1))
             anchors = [stops[0]]
             for p in stops[1:]:
@@ -607,6 +616,22 @@ def _expand_wire(w: _Wire) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+def _unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(coords, axis=0, return_inverse=True)`` for lattice points,
+    through one int64 key per point that sorts like the (x, y) row."""
+    lo = coords.min(axis=0)
+    span = coords.max(axis=0) - lo + 1
+    if int(span[0]) * int(span[1]) >= 2**63:
+        raise AssertionError("lattice too large for one int64 key per point")
+    key = (coords[:, 0] - lo[0]) * span[1] + (coords[:, 1] - lo[1])
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = first_of_runs(sorted_key)
+    inv = np.empty(key.size, dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
+    return coords[order[first]], inv
+
+
 @dataclass(eq=False)
 class GadgetInstance:
     """A compiled reduction instance plus its decision threshold metadata.
@@ -650,8 +675,7 @@ class GadgetInstance:
         per_wire = [_expand_wire(w) for w in plan.wires]
         active_arr = np.array(plan.active_xy, dtype=np.int64).reshape(-1, 2)
         coords = np.concatenate([active_arr] + per_wire, axis=0)
-        uniq, inv = np.unique(coords, axis=0, return_index=False, return_inverse=True)
-        inv = inv.reshape(-1)
+        uniq, inv = _unique_rows(coords)
         n_active = active_arr.shape[0]
         n_unique = uniq.shape[0]
         # ids: actives first (in declaration order), then the rest by lattice order

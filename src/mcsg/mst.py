@@ -168,27 +168,24 @@ def prune_to_forest(
     that would merge two components each already holding an active point.
     Returns (kept edge indices into ``edges``, component label per vertex).
     """
-    order = np.lexsort((edges[:, 1], edges[:, 0], weights))
+    order = np.lexsort((edges[:, 1], edges[:, 0], weights)).tolist()
+    ends = edges.tolist()
     uf = UnionFind(n)
-    has_active = list(map(bool, is_active))
+    find, parent = uf.find, uf.parent
+    has_active = is_active.tolist()
     kept = []
     for idx in order:
-        a, b = int(edges[idx, 0]), int(edges[idx, 1])
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
+        a, b = ends[idx]
+        ra, rb = find(a), find(b)
+        if ra == rb or (has_active[ra] and has_active[rb]):
             continue
-        if has_active[ra] and has_active[rb]:
-            continue
-        uf.parent[rb] = ra
-        uf.count -= 1
+        parent[rb] = ra
         has_active[ra] = has_active[ra] or has_active[rb]
-        kept.append(int(idx))
-    roots = {}
-    labels = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        r = uf.find(v)
-        labels[v] = roots.setdefault(r, len(roots))
-    return np.array(sorted(kept), dtype=np.int64), labels
+        kept.append(idx)
+    roots: dict[int, int] = {}
+    labels = [roots.setdefault(find(v), len(roots)) for v in range(n)]
+    kept.sort()
+    return np.array(kept, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
 def forced_edges(inst: Instance, c: int) -> ColorForest:
@@ -208,8 +205,8 @@ def forced_edges(inst: Instance, c: int) -> ColorForest:
     active = inst.multichromatic()[members]
     if not active.any():
         uf = UnionFind(members.size)
-        for a, b in local:
-            uf.union(int(a), int(b))
+        for a, b in local.tolist():
+            uf.union(a, b)
         labels = np.array([uf.find(i) for i in range(members.size)])
         _, labels = np.unique(labels, return_inverse=True)
         kept = local

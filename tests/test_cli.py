@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,13 @@ def test_exit_codes(tmp_path):
     assert run("solve", "--input", str(path), "--mode", "exact2") == 2
     assert run("solve", "--input", str(tmp_path / "missing.json")) == 1
     assert run("nonsense") == 1
+    for i, doc in enumerate(('{"k":33,"points":[{"x":0,"y":0,"colors":[33]}]}',
+                             '{"k":2,"points":[{"x":0,"y":0,"colors":[true]}]}',
+                             '{"k":2,"points":[{"x":0,"y":0,"colors":[2.7]}]}',
+                             '{"k":2,"points":5}')):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(doc)
+        assert run("solve", "--input", str(bad)) == 1
 
 
 def test_gen_and_bench(tmp_path, capsys):
@@ -122,3 +130,22 @@ def test_prune_output(inst_file, capsys):
     assert run("prune", "--input", path) == 0
     out = capsys.readouterr().out
     assert out.startswith("color 1:")
+
+
+# sha256 of `mcsg prune` output on generate_random(4600, 2, 0.01, seed), whose
+# color classes take the sparse EMST path; recorded before the prune loop and
+# the JSON reader were vectorised
+PRUNE_DIGESTS = {
+    0: "e88a7437702050aed903b2eb7ce6a591147d51e08f82b751978c7e7b25dbfa9b",
+    1: "ee6215f26df24b964ffa72a065bc73b42e5c693d53cf9bab9e364cee38248c02",
+}
+
+
+def test_prune_output_pinned(tmp_path, capsys):
+    for seed, digest in PRUNE_DIGESTS.items():
+        path = tmp_path / f"p{seed}.json"
+        path.write_text(core.instance_to_json(core.generate_random(4600, 2, 0.01, seed)))
+        capsys.readouterr()
+        assert run("prune", "--input", str(path)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -34,6 +35,56 @@ def test_load_rejects_bad_documents():
         core.load_instance(
             '{"k":1,"points":[{"x":1,"y":2,"colors":[1]},{"x":1,"y":2,"colors":[1]}]}'
         )
+    # k above MAX_COLORS: color 33 does not fit a uint32 mask
+    for k in (17, 33, 64):
+        with pytest.raises(core.FormatError, match="k must be"):
+            core.load_instance(f'{{"k":{k},"points":[{{"x":0,"y":0,"colors":[{k}]}}]}}')
+    for k in ("true", "2.0", '"2"'):
+        with pytest.raises(core.FormatError, match="k must be"):
+            core.load_instance(f'{{"k":{k},"points":[{{"x":0,"y":0,"colors":[1]}}]}}')
+    # colors must be JSON integers: no booleans, floats, strings or nulls
+    for color in ("true", "false", "2.7", "2.0", '"1"', "null", "[1]"):
+        with pytest.raises(core.FormatError, match="color must be an integer"):
+            core.load_instance(f'{{"k":3,"points":[{{"x":0,"y":0,"colors":[1,{color}]}}]}}')
+    for colors in ('"12"', "1", "null"):
+        with pytest.raises(core.FormatError):
+            core.load_instance(f'{{"k":2,"points":[{{"x":0,"y":0,"colors":{colors}}}]}}')
+    for doc in ('{"k":1,"points":5}', '{"k":1,"points":{"x":0}}', '{"k":1,"points":[[0,0,[1]]]}',
+                '{"k":1,"points":[{"x":0,"colors":[1]}]}', '{"k":1,"points":[]}',
+                '{"k":1,"points":[{"x":"a","y":0,"colors":[1]}]}'):
+        with pytest.raises(core.FormatError):
+            core.load_instance(doc)
+
+
+def test_load_keeps_order_and_duplicate_colors():
+    inst = core.load_instance(
+        '{"k":3,"points":[{"x":2.5,"y":-1,"colors":[3,1,3]},{"x":"1.5","y":0,"colors":[2]}]}'
+    )
+    assert inst.xy.tolist() == [[2.5, -1.0], [1.5, 0.0]]
+    assert inst.masks.tolist() == [0b101, 0b010]
+
+
+# sha256 of instance_to_json, recorded before the encoder was vectorised
+JSON_DIGESTS = {
+    ("random", 1, 1, 0.0, 0): "27285f4cb8cbb992f8436ec105562d6ab7d309c1667ab766fa21fdba19a9f661",
+    ("random", 30, 3, 0.5, 1): "9183a28d2b382bc040a0c961d4841ef9fdd977d9bb6986d7afd8d1a832d03fcf",
+    ("random", 200, 4, 0.3, 2): "e0c84341680c3f2e0586c4761123756c1354e7db2ebbe928684cf0a7a4f91a63",
+    ("random", 4600, 2, 0.01, 3): "256254e9642ba0aaab07d14054424d6b5e520487f1ce179d38700d296a15205c",
+    ("collinear", 25, 2, 0.4, 4): "b4598e3eff00cafa1ae4cea4b5f0e2d51f37b9c81af28e6fd61b39f269a6b4ec",
+    ("collinear", 70, 3, 1.0, 5): "73f45acb77add209f7c4e9ce15987d3a576f24944756696944cb03eb4ffa43f4",
+}
+
+
+def test_instance_json_bytes_pinned():
+    gens = {"random": core.generate_random, "collinear": core.generate_collinear}
+    for (family, *args), digest in JSON_DIGESTS.items():
+        text = core.instance_to_json(gens[family](*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, args)
+        assert core.instance_to_json(core.load_instance(text)) == text
+    black = core.instance_to_json(core.generate_all_black(12, 6))
+    assert hashlib.sha256(black.encode()).hexdigest() == (
+        "0eda12328d70e1f11c8b554bda73d526617c3af18c97fc4842a2af129b4ec62c"
+    )
 
 
 @settings(max_examples=40, deadline=None)

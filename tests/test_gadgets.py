@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -185,3 +186,110 @@ def test_nested_clauses_build():
     g = gadgets.build_gadget(cnf)
     assert g.r == 4
     assert g.active_points.size == 52
+
+
+def _anchor_graph_reference(plan, color):
+    """The quadratic segment scan: every registered point against every wire
+    segment.  Kept to check the indexed scan of ``_Plan._anchor_graph``."""
+    wires = [w for w in plan.wires if w.color == color]
+    registered = {p for w in wires for p in w.pts}
+    for aid, m in enumerate(plan.active_mask):
+        if m & color:
+            registered.add(plan.active_xy[aid])
+    verts, n_edges, parent = set(), 0, {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for w in wires:
+        stops = [w.pts[0]]
+        for (x0, y0), (x1, y1) in w.segments():
+            hits = []
+            if y0 == y1 and x0 != x1:
+                lo, hi = sorted((x0, x1))
+                hits = [(px, py) for (px, py) in registered
+                        if py == y0 and lo < px < hi and (px - x0) % 5 == 0]
+                hits.sort(key=lambda p: p[0], reverse=x1 < x0)
+            elif x0 == x1 and y0 != y1:
+                lo, hi = sorted((y0, y1))
+                hits = [(px, py) for (px, py) in registered
+                        if px == x0 and lo < py < hi and (py - y0) % 5 == 0]
+                hits.sort(key=lambda p: p[1], reverse=y1 < y0)
+            stops.extend(hits)
+            stops.append((x1, y1))
+        anchors = [stops[0]]
+        for p in stops[1:]:
+            if p in registered and p != anchors[-1]:
+                anchors.append(p)
+        if anchors[-1] != w.pts[-1]:
+            anchors.append(w.pts[-1])
+        for p, q in zip(anchors, anchors[1:]):
+            verts.update((p, q))
+            rp, rq = find(p), find(q)
+            if rp != rq:
+                parent[rq] = rp
+            n_edges += 1
+    comps = {find(v) for v in verts}
+    for aid, m in enumerate(plan.active_mask):
+        if m & color and plan.active_xy[aid] not in verts:
+            comps.add(plan.active_xy[aid])
+    return len(verts), n_edges, len(comps), parent
+
+
+ANCHOR_CNFS = (
+    gadgets.FIG2_CNF,
+    "p mcnf 2 1\n+ 1 2\n",
+    "p mcnf 2 1\n- 1 2\n",
+    "p mcnf 2 2\n+ 1 2\n- 1 2\n",
+    "p mcnf 3 2\n+ 1 2 3\n- 1 3\n",
+    "p mcnf 4 2\n- 1 4\n- 2 3\n",
+    "p mcnf 4 2\n+ 1 4\n+ 2 3\n",
+    "p mcnf 8 5\n+ 1 8\n+ 2 7\n+ 3 6\n+ 4 5\n- 1 2 3\n",
+    "p mcnf 6 5\n- 1 6\n- 2 3\n- 4 5\n+ 1 2 3\n+ 4 5 6\n",
+)
+
+
+def test_anchor_graph_matches_quadratic_scan():
+    for text in ANCHOR_CNFS:
+        plan = gadgets.build_gadget(gadgets.parse_cnf(text))._plan
+        for color in (gadgets.R_BIT, gadgets.B_BIT, gadgets.Y_BIT):
+            n_v, n_e, kappa, parent, _ = plan._anchor_graph(color)
+            assert (n_v, n_e, kappa, parent) == _anchor_graph_reference(plan, color), (text, color)
+
+
+def test_anchor_graph_matches_quadratic_scan_on_random_wires():
+    # The gadget layouts never cross a registered point on a westward or
+    # southward run, so random lattice wires cover that order and the
+    # multiple-of-5 filter.
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        wires = []
+        for _ in range(int(rng.integers(2, 9))):
+            x, y = (int(v) for v in rng.integers(0, 12, size=2) * 5 + rng.integers(0, 3, size=2))
+            pts = [(x, y)]
+            for _ in range(int(rng.integers(1, 6))):
+                step = 5 * int(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]))
+                x, y = (x + step, y) if rng.random() < 0.5 else (x, y + step)
+                pts.append((x, y))
+            wires.append(gadgets._Wire(color=int(rng.choice([1, 2])), pts=tuple(pts)))
+        actives = [tuple(int(v) for v in p) for p in rng.integers(0, 60, size=(3, 2))]
+        plan = SimpleNamespace(wires=wires, active_xy=actives,
+                               active_mask=[int(m) for m in rng.integers(1, 4, size=3)])
+        for color in (1, 2):
+            n_v, n_e, kappa, parent, _ = gadgets._Plan._anchor_graph(plan, color)
+            assert (n_v, n_e, kappa, parent) == _anchor_graph_reference(plan, color), trial
+
+
+def test_small_gadget_bytes_pinned(small_gadget):
+    # sha256 of instance_to_json, recorded before materialisation and the
+    # encoder stopped using np.unique and per-point Python
+    text = core.instance_to_json(small_gadget.instance)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "61b68785591f97ab1faeb6084b9c682de64f8a46580995ce8e5fbde3dc15fc10"
+    )
