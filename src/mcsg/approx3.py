@@ -50,36 +50,21 @@ class CandidateBundle:
         return self.graphs[self.chosen]
 
 
-def _class_mst(inst: Instance, c: int) -> np.ndarray:
-    members = inst.color_class(c)
-    local = mst.euclidean_mst(inst.xy[members])
-    if not local.size:
-        return as_edges(())
-    return as_edges(members[local])
-
-
 def mst_completion(inst: Instance, members, merged) -> np.ndarray:
     """Minimum edge set spanning ``members`` given pre-connected blocks.
 
     The blocks of ``merged`` (instance indices; points outside ``members``
     are ignored) count as already connected.  A minimum completion needs
-    only EMST edges of the class (see ``mst``), so this is Kruskal over
-    ``mst.euclidean_mst(members)`` in (length, a, b) order with the blocks
-    pre-united; returns the chosen point pairs.
+    only EMST edges of the class (see ``mst``), so this is ``mst.kruskal``
+    over ``mst.subset_mst(members)`` with the blocks pre-united; returns the
+    chosen point pairs.
     """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size <= 1:
-        return as_edges(())
-    pos = {int(p): i for i, p in enumerate(members)}
-    uf = mst.UnionFind(members.size)
-    for block in merged:
-        block = [pos[int(p)] for p in block if int(p) in pos]
-        for a, b in zip(block, block[1:]):
-            uf.union(a, b)
-    tree = as_edges(members[mst.euclidean_mst(inst.xy[members])])
-    w = np.hypot(*(inst.xy[tree[:, 0]] - inst.xy[tree[:, 1]]).T)
-    tree = tree[np.lexsort((tree[:, 1], tree[:, 0], w))].tolist()
-    return as_edges([(a, b) for a, b in tree if uf.union(pos[a], pos[b])])
+    ids = np.asarray(members, dtype=np.int64).tolist()
+    pos = {p: i for i, p in enumerate(ids)}
+    blocks = [[pos[p] for p in map(int, block) if p in pos] for block in merged]
+    tree = mst.subset_mst(inst.xy, ids).tolist()
+    kept = mst.kruskal(len(ids), [(pos[a], pos[b]) for a, b in tree], blocks)
+    return as_edges([(ids[a], ids[b]) for a, b in kept])
 
 
 def approx_a1(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:
@@ -87,7 +72,7 @@ def approx_a1(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | Non
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
     g_rb = solve_pair(project_pair(inst, 1, 2), m_limit=m_limit)
-    edges = merge_edges(g_rb.edges, _class_mst(inst, 3))
+    edges = merge_edges(g_rb.edges, mst.subset_mst(inst.xy, inst.color_class(3)))
     return make_solution(inst, edges, "a1", ratio_bound=2.0)
 
 
@@ -102,7 +87,7 @@ def approx_pairing(inst: Instance, pairing, m_limit: int = M_LIMIT) -> Solution:
         if len(b) == 2:
             parts.append(solve_pair(project_pair(inst, b[0], b[1]), m_limit=m_limit).edges)
         else:
-            parts.append(_class_mst(inst, b[0]))
+            parts.append(mst.subset_mst(inst.xy, inst.color_class(b[0])))
     return make_solution(inst, merge_edges(*parts), "pairing", ratio_bound=math.ceil(inst.k / 2))
 
 
@@ -115,15 +100,13 @@ def approx_a2_bundle(
     """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H."""
     if inst.k != 3:
         raise ValueError("approx_a2 requires k == 3")
-    config = config or ApproxConfig()
     graphs: list[Solution] = []
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
         pair_sol = solve_pair(project_pair(inst, c1, c2), m_limit=m_limit)
-        edges = merge_edges(pair_sol.edges, _class_mst(inst, mono))
+        edges = merge_edges(pair_sol.edges, mst.subset_mst(inst.xy, inst.color_class(mono)))
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
-    h_local = mst.euclidean_mst(inst.xy[black]) if black.size > 1 else as_edges(())
-    h_edges = as_edges(black[h_local]) if h_local.size else as_edges(())
+    h_edges = mst.subset_mst(inst.xy, black)
     merged = (frozenset(int(p) for p in black),) if black.size else ()
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
         pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), m_limit=m_limit)

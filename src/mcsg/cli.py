@@ -18,7 +18,6 @@ from .core import (
     Instance,
     RefusalError,
     Solution,
-    as_edges,
     is_csg,
     load_instance,
     make_solution,
@@ -71,9 +70,7 @@ def solve_dispatch(inst: Instance, mode: str = "auto", *, m_limit: int = exact2.
             mode = "pairing"
     if mode == "exact2":
         if inst.k == 1:
-            members = inst.color_class(1)
-            local = mst.euclidean_mst(inst.xy[members])
-            edges = members[local] if local.size else as_edges(())
+            edges = mst.subset_mst(inst.xy, inst.color_class(1))
             return make_solution(inst, edges, "exact2", ratio_bound=1.0)
         if inst.k != 2:
             raise FormatError("mode exact2 needs k <= 2 (use 'exact2' subcommand with --pair)")
@@ -200,13 +197,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _read_merge_groups(path: str, n: int) -> tuple[frozenset[int], ...]:
+    """A JSON list of lists of point indices in 0..n-1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not (isinstance(doc, list) and all(
+            isinstance(grp, list) and all(type(i) is int and 0 <= i < n for i in grp)
+            for grp in doc)):
+        raise FormatError(f"--merge-groups needs a list of lists of point indices in 0..{n - 1}")
+    return tuple(frozenset(grp) for grp in doc)
+
+
 def _cmd_exact2(args) -> int:
     inst = _read_instance(args.input)
     c1, c2 = (int(x) for x in args.pair.split(","))
-    merge = ()
-    if args.merge_groups:
-        with open(args.merge_groups, "r", encoding="utf-8") as fh:
-            merge = tuple(frozenset(int(i) for i in grp) for grp in json.load(fh))
+    merge = _read_merge_groups(args.merge_groups, inst.n) if args.merge_groups else ()
     proj = exact2.project_pair(inst, c1, c2, merge)
     sol = exact2.solve_pair(proj, m_limit=args.m_limit)
     if not exact2.spans_projection(proj, sol.edges):

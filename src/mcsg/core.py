@@ -345,8 +345,9 @@ def instance_to_json(inst: Instance) -> str:
 def load_instance(source: str | bytes | IO) -> Instance:
     """Parse the JSON instance format, preserving point order.
 
-    Raises FormatError for malformed documents, colors that are not integers
-    in 1..k, empty color sets, bad k, or coincident points.
+    Raises FormatError for malformed documents, coordinates that are not
+    JSON numbers, colors that are not integers in 1..k, empty color sets,
+    bad k, or coincident points.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -375,15 +376,22 @@ def load_instance(source: str | bytes | IO) -> Instance:
                 mask |= 1 << (c - 1)
             if not mask:
                 raise FormatError("empty color set on a point")
-            xs.append(float(rec["x"]))
-            ys.append(float(rec["y"]))
+            xs.append(rec["x"])
+            ys.append(rec["y"])
             masks.append(mask)
     except FormatError:  # a ValueError, but its message is the better one
         raise
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"malformed point record: {rec!r}") from exc
-    return Instance.from_arrays(k, np.stack([np.array(xs, dtype=np.float64),
-                                             np.array(ys, dtype=np.float64)], axis=1), masks)
+    odd = {*map(type, xs), *map(type, ys)} - {int, float}  # bool, str, None, ...
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise FormatError(f"point coordinates must be JSON numbers, got {names}")
+    try:
+        xy = np.stack([np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)], axis=1)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FormatError(f"coordinate out of range: {exc}") from exc
+    return Instance.from_arrays(k, xy, masks)
 
 
 def save_instance(inst: Instance, target: str | IO) -> None:

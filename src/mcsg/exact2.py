@@ -189,42 +189,35 @@ class _Engine:
 class _World:
     """One color's forced edges and completion links inside the engine.
 
-    The links are the EMST edges of the color class that pruning dropped, one
-    fewer than the purple points: with the forced edges and any blocks
-    pre-merged, a minimum completion needs no other pair (see ``mst``).
+    The forced edges are the color's completion with the purple points
+    pre-merged (see ``mst``); the links are the EMST edges that it dropped,
+    one fewer than the purple points: with the forced edges and any blocks
+    pre-merged, a minimum completion needs no other pair.
     """
 
     def __init__(self, engine: _Engine, bit: int):
-        bits = engine.bits
+        bits, dist = engine.bits, engine.dist
         members = [p for p in range(len(bits)) if bits[p] & bit]
-        tree: list[tuple[int, int]] = []
-        w: list[float] = []
-        forced: list[tuple[int, int]] = []
-        if len(members) > 1:
-            local = mst.euclidean_mst(engine.proj.base.xy[engine.proj.idx[members]])
-            tree = [(members[a], members[b]) for a, b in local]
-            w = [engine.dist(a, b) for a, b in tree]
-            is_purple = engine.proj.bits == 3
-            kept, _ = mst.prune_to_forest(np.array(tree), np.array(w), len(bits), is_purple)
-            forced = [tree[i] for i in kept]
+        local = mst.euclidean_mst(engine.proj.base.xy[engine.proj.idx[members]]).tolist()
+        # EMST edges ascending by (weight, a, b), weighed with the engine's
+        # math.hypot: numpy's hypot can differ from it in the last bit
+        tree = sorted((dist(members[a], members[b]), members[a], members[b]) for a, b in local)
+        purple = [p for p in members if bits[p] == 3]
+        forced = mst.kruskal(len(bits), [(a, b) for _, a, b in tree], [purple])
+        forced.sort()  # (a, b) order: forced_cost sums them in this order
         engine.forced_edges.extend(forced)
-        parent = list(range(len(bits)))
-        joins = list(forced)
+        uf = mst.UnionFind(len(bits))
+        for a, b in forced:
+            uf.union(a, b)
         for block in engine.merge_blocks:
             inside = [p for p in block if bits[p] & bit]
-            joins.extend(zip(inside, inside[1:]))
-        for a, b in joins:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[rb] = ra
+            for a, b in zip(inside, inside[1:]):
+                uf.union(a, b)
         roots: dict[int, int] = {}
-        comp = {p: roots.setdefault(_find(parent, p), len(roots)) for p in members}
+        comp = {p: roots.setdefault(uf.find(p), len(roots)) for p in members}
         self.n_comps = len(roots)
-        # EMST edges between components (the forced ones lie inside one),
-        # ascending by (weight, a, b).
-        self.links = sorted(
-            (wi, a, b, comp[a], comp[b]) for wi, (a, b) in zip(w, tree) if comp[a] != comp[b]
-        )
+        # EMST edges between components (the forced ones lie inside one)
+        self.links = [(w, a, b, comp[a], comp[b]) for w, a, b in tree if comp[a] != comp[b]]
         self.unit_comp = [comp[unit[0]] for unit in engine.units]
         self.lower_bound = self.complete((0,) * len(engine.units))
 

@@ -658,13 +658,6 @@ class GadgetInstance:
             self._cache["instance"] = got
         return got
 
-    @property
-    def n_points(self) -> int:
-        got = self._cache.get("ids")
-        if got is not None:
-            return int(got[1])
-        return self.instance.n
-
     def chain_edges(self) -> np.ndarray:
         """Every consecutive chain pair, as point indices (materializes)."""
         self.instance
@@ -714,7 +707,6 @@ class GadgetInstance:
             pos += pts.shape[0]
         chain = as_edges(np.concatenate(edges, axis=0))
         self._cache["chain_edges"] = chain
-        self._cache["ids"] = (ids, n_unique)
 
         scale = self.epsilon / 5.0
         inst = Instance.from_arrays(3, xy5.astype(np.float64) * scale, masks)
@@ -761,6 +753,16 @@ class GadgetInstance:
         return out
 
 
+def _plus_switch_terms(base: float, r: int, m: int, delta: float) -> float:
+    """base + r(2+2√2) + rδ(2+2√2) + mδ(2√2−2), added left to right."""
+    return (
+        base
+        + r * (2.0 + 2.0 * SQRT2)
+        + r * delta * (2.0 + 2.0 * SQRT2)
+        + m * delta * (2.0 * SQRT2 - 2.0)
+    )
+
+
 def build_gadget(cnf: MonotoneCnf) -> GadgetInstance:
     """Compile a monotone planar CNF into a 3-color gadget instance."""
     plan = _Plan(cnf)
@@ -768,12 +770,7 @@ def build_gadget(cnf: MonotoneCnf) -> GadgetInstance:
     eps, delta = plan.epsilon, plan.delta
     # W = sum(E') + 39 r eps + switch terms; by the counting identity the
     # forced edges are exactly the chain edges minus 39r of them
-    w_value = (
-        plan.n_chain_edges * eps
-        + r * (2.0 + 2.0 * SQRT2)
-        + r * delta * (2.0 + 2.0 * SQRT2)
-        + m * delta * (2.0 * SQRT2 - 2.0)
-    )
+    w_value = _plus_switch_terms(plan.n_chain_edges * eps, r, m, delta)
     return GadgetInstance(
         cnf=cnf,
         r=r,
@@ -818,11 +815,4 @@ def compute_w(g: GadgetInstance) -> float:
         if forest.edges.size:
             d = inst.xy[forest.edges[:, 0]] - inst.xy[forest.edges[:, 1]]
             total += float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-    r, m, delta = g.r, g.m_clauses, g.delta
-    return (
-        total
-        + 39.0 * r * g.epsilon
-        + r * (2.0 + 2.0 * SQRT2)
-        + r * delta * (2.0 + 2.0 * SQRT2)
-        + m * delta * (2.0 * SQRT2 - 2.0)
-    )
+    return _plus_switch_terms(total + 39.0 * g.r * g.epsilon, g.r, g.m_clauses, g.delta)

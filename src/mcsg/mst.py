@@ -1,17 +1,17 @@
-"""Euclidean MSTs per color class and the forced monochromatic edges.
+"""Euclidean MSTs per color class, minimum completions and the forced edges.
 
-For each color c, a maximal subset of MST(S_c) in which no component contains
-two multichromatic points is guaranteed to lie inside some optimum solution,
-so every solver starts from these *forced edges*.  The pruning is realized as
-a deterministic ascending-weight rebuild: an MST edge is kept unless it would
-merge two components that each already hold a multichromatic point.
+The EMST is the only edge source a minimum completion needs: with the edges
+F of any pre-merged blocks added, an MST of G plus F uses only edges of F and
+of MST(G), because every other pair is the longest edge on a cycle of MST(G)
+edges.  So completing a class around already connected blocks is ``kruskal``
+over its EMST edges in (length, a, b) order with the blocks pre-united.
 
-The EMST is also the only edge source a minimum completion needs: with the
-edges F of any pre-merged blocks added, an MST of G plus F uses only edges of
-F and of MST(G), because every other pair is the longest edge on a cycle of
-MST(G) edges.  So completing a class around already connected blocks is
-Kruskal over its EMST edges with the blocks pre-united
-(``approx3.mst_completion`` and exact2's color worlds).
+The forced edges of color c are one such completion.  A maximal subset of
+MST(S_c) in which no component contains two multichromatic points lies
+inside some optimum solution, so every solver starts from it; it is the
+completion of S_c with all its multichromatic points pre-merged into one
+block (an edge is dropped exactly when it would join two components that
+each hold a multichromatic point).
 """
 
 from __future__ import annotations
@@ -55,20 +55,32 @@ class UnionFind:
         return True
 
 
+def kruskal(n: int, pairs, blocks=()) -> list[tuple[int, int]]:
+    """Kruskal over vertices 0..n-1 with the vertices of each block pre-united.
+
+    ``pairs`` must come in ascending (length, a, b) order; it is read lazily
+    and only until one set remains.  Returns the pairs that joined two sets.
+    """
+    uf = UnionFind(n)
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            uf.union(a, b)
+    kept = []
+    if uf.count > 1:
+        for a, b in pairs:
+            if uf.union(a, b):
+                kept.append((a, b))
+                if uf.count == 1:
+                    break
+    return kept
+
+
 def _dense_mst(xy: np.ndarray) -> np.ndarray:
     n = xy.shape[0]
     a, b = np.triu_indices(n, k=1)
     d = xy[a] - xy[b]
-    w = np.hypot(d[:, 0], d[:, 1])
-    order = np.lexsort((b, a, w))  # ties broken by (weight, a, b)
-    uf = UnionFind(n)
-    out = []
-    for idx in order:
-        if uf.union(int(a[idx]), int(b[idx])):
-            out.append((int(a[idx]), int(b[idx])))
-            if uf.count == 1:
-                break
-    return as_edges(out)
+    order = np.lexsort((b, a, np.hypot(d[:, 0], d[:, 1])))  # ties broken by (weight, a, b)
+    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in order)))
 
 
 def _knn_candidates(xy: np.ndarray, k: int) -> np.ndarray:
@@ -135,8 +147,21 @@ def euclidean_mst(xy) -> np.ndarray:
     return _sparse_mst(xy)
 
 
+def subset_mst(xy: np.ndarray, members) -> np.ndarray:
+    """EMST of the points ``xy[members]`` as pairs of indices into ``xy``.
+
+    Each pair has a < b, and the pairs come in ascending (length, a, b)
+    order, the order ``kruskal`` takes them in.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    tree = members[euclidean_mst(xy[members])]
+    tree.sort(axis=1)
+    d = xy[tree[:, 0]] - xy[tree[:, 1]]
+    return tree[np.lexsort((tree[:, 1], tree[:, 0], np.hypot(d[:, 0], d[:, 1])))]
+
+
 # ---------------------------------------------------------------------------
-# forced edges (pruned per-color MSTs)
+# forced edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,67 +184,18 @@ class ColorForest:
         return int(self.components.max()) + 1 if self.components.size else 0
 
 
-def prune_to_forest(
-    edges: np.ndarray, weights: np.ndarray, n: int, is_active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep a maximal subset of a forest with <= 1 active point per component.
-
-    Edges are re-added in ascending (weight, a, b) order, skipping any edge
-    that would merge two components each already holding an active point.
-    Returns (kept edge indices into ``edges``, component label per vertex).
-    """
-    order = np.lexsort((edges[:, 1], edges[:, 0], weights)).tolist()
-    ends = edges.tolist()
-    uf = UnionFind(n)
-    find, parent = uf.find, uf.parent
-    has_active = is_active.tolist()
-    kept = []
-    for idx in order:
-        a, b = ends[idx]
-        ra, rb = find(a), find(b)
-        if ra == rb or (has_active[ra] and has_active[rb]):
-            continue
-        parent[rb] = ra
-        has_active[ra] = has_active[ra] or has_active[rb]
-        kept.append(idx)
-    roots: dict[int, int] = {}
-    labels = [roots.setdefault(find(v), len(roots)) for v in range(n)]
-    kept.sort()
-    return np.array(kept, dtype=np.int64), np.array(labels, dtype=np.int64)
-
-
 def forced_edges(inst: Instance, c: int) -> ColorForest:
-    """Forced edges for color c: MST(S_c) pruned at multichromatic points.
-
-    If S_c has no multichromatic point the whole MST is kept.
-    """
+    """Forced edges for color c: the completion of S_c with its
+    multichromatic points pre-merged (see the module docstring)."""
     members = inst.color_class(c)
-    if members.size <= 1:
-        return ColorForest(
-            color=c,
-            points=members,
-            edges=as_edges(()),
-            components=np.zeros(members.size, dtype=np.int64),
-        )
-    local = euclidean_mst(inst.xy[members])
-    active = inst.multichromatic()[members]
-    if not active.any():
-        uf = UnionFind(members.size)
-        for a, b in local.tolist():
-            uf.union(a, b)
-        labels = np.array([uf.find(i) for i in range(members.size)])
-        _, labels = np.unique(labels, return_inverse=True)
-        kept = local
-    else:
-        d = inst.xy[members[local[:, 0]]] - inst.xy[members[local[:, 1]]]
-        w = np.hypot(d[:, 0], d[:, 1])
-        kept_idx, labels = prune_to_forest(local, w, members.size, active)
-        kept = local[kept_idx]
+    n = members.size
+    local = np.searchsorted(members, subset_mst(inst.xy, members))
+    active = np.flatnonzero(inst.multichromatic()[members]).tolist()
+    kept = as_edges(kruskal(n, local.tolist(), [active]))
+    graph = coo_matrix((np.ones(kept.shape[0]), (kept[:, 0], kept[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)  # labelled in vertex order
     return ColorForest(
-        color=c,
-        points=members,
-        edges=as_edges(members[kept]) if kept.size else as_edges(()),
-        components=labels,
+        color=c, points=members, edges=members[kept], components=labels.astype(np.int64)
     )
 
 

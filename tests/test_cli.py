@@ -61,7 +61,8 @@ def test_exit_codes(tmp_path):
     for i, doc in enumerate(('{"k":33,"points":[{"x":0,"y":0,"colors":[33]}]}',
                              '{"k":2,"points":[{"x":0,"y":0,"colors":[true]}]}',
                              '{"k":2,"points":[{"x":0,"y":0,"colors":[2.7]}]}',
-                             '{"k":2,"points":5}')):
+                             '{"k":2,"points":5}',
+                             '{"k":2,"points":[{"x":true,"y":"2","colors":[1, 2]}]}')):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(doc)
         assert run("solve", "--input", str(bad)) == 1
@@ -104,6 +105,20 @@ def test_exact2_with_merge_groups(tmp_path):
     out = tmp_path / "s.json"
     assert run("exact2", "--input", str(path), "--pair", "1,3",
                "--merge-groups", str(groups), "--output", str(out)) == 0
+
+
+def test_exact2_rejects_bad_merge_groups(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(core.instance_to_json(core.generate_random(6, 3, 0.6, 9)))
+    groups = tmp_path / "g.json"
+    # not a list of lists, indices outside 0..5, non-integer indices
+    for doc in ("[0, 1]", "{}", "5", "[[0, 99]]", "[[0, 6]]", "[[0, -1]]", "[[0, 1.5]]",
+                "[[true, 1]]", '[["0", 1]]', "[[0, null]]", "[[0, 1], 2]"):
+        groups.write_text(doc)
+        capsys.readouterr()
+        assert run("exact2", "--input", str(path), "--pair", "1,3",
+                   "--merge-groups", str(groups)) == 1, doc
+        assert "--merge-groups needs" in capsys.readouterr().err, doc
 
 
 def test_render_deterministic_and_colors(tmp_path):

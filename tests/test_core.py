@@ -49,6 +49,15 @@ def test_load_rejects_bad_documents():
     for colors in ('"12"', "1", "null"):
         with pytest.raises(core.FormatError):
             core.load_instance(f'{{"k":2,"points":[{{"x":0,"y":0,"colors":{colors}}}]}}')
+    # coordinates must be JSON numbers: no booleans, numeric strings or nulls
+    for x in ("true", "false", '"2"', '"1e3"', '"1.5"', "null", "[1]", "{}"):
+        with pytest.raises(core.FormatError, match="must be JSON numbers"):
+            core.load_instance('{"k":1,"points":[{"x":0,"y":1,"colors":[1]},'
+                               '{"x":%s,"y":2,"colors":[1]}]}' % x)
+        with pytest.raises(core.FormatError, match="must be JSON numbers"):
+            core.load_instance(f'{{"k":1,"points":[{{"x":0,"y":{x},"colors":[1]}}]}}')
+    with pytest.raises(core.FormatError, match="out of range"):
+        core.load_instance('{"k":1,"points":[{"x":1%s,"y":0,"colors":[1]}]}' % ("0" * 400))
     for doc in ('{"k":1,"points":5}', '{"k":1,"points":{"x":0}}', '{"k":1,"points":[[0,0,[1]]]}',
                 '{"k":1,"points":[{"x":0,"colors":[1]}]}', '{"k":1,"points":[]}',
                 '{"k":1,"points":[{"x":"a","y":0,"colors":[1]}]}'):
@@ -58,7 +67,7 @@ def test_load_rejects_bad_documents():
 
 def test_load_keeps_order_and_duplicate_colors():
     inst = core.load_instance(
-        '{"k":3,"points":[{"x":2.5,"y":-1,"colors":[3,1,3]},{"x":"1.5","y":0,"colors":[2]}]}'
+        '{"k":3,"points":[{"x":2.5,"y":-1,"colors":[3,1,3]},{"x":1.5,"y":0,"colors":[2]}]}'
     )
     assert inst.xy.tolist() == [[2.5, -1.0], [1.5, 0.0]]
     assert inst.masks.tolist() == [0b101, 0b010]

@@ -9,13 +9,6 @@ from mcsg import core, gadgets
 SQRT2 = math.sqrt(2)
 
 
-@pytest.fixture(scope="module")
-def small_gadget():
-    g = gadgets.build_gadget(gadgets.parse_cnf("p mcnf 2 1\n+ 1 2\n"))
-    g.instance  # materialize once for the whole module
-    return g
-
-
 def test_parse_and_validate():
     cnf = gadgets.parse_cnf("c comment\np mcnf 3 2\n+ 1 2 3\n- 1 3\n")
     assert cnf.n_vars == 3 and len(cnf.clauses) == 2

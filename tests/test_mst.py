@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -121,3 +122,92 @@ def test_forced_edges_subset_of_mst_and_component_count():
                     pts = forest.points[forest.components == comp]
                     assert int(inst.multichromatic()[pts].sum()) == 1
 
+
+
+def test_kruskal_blocks_and_early_stop():
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+    assert mst.kruskal(4, pairs) == [(0, 1), (1, 2), (2, 3)]
+    assert mst.kruskal(4, pairs, [[0, 2]]) == [(0, 1), (2, 3)]
+    assert mst.kruskal(4, pairs, [[0, 1, 2, 3]]) == []
+    # the pairs are read only until one set remains
+    it = iter(pairs)
+    assert mst.kruskal(4, it, [[2, 3]]) == [(0, 1), (1, 2)]
+    assert next(it) == (2, 3)
+
+
+def veto_forest(inst, c):
+    """The forced-edge rule as a veto: add MST(S_c) edges in ascending
+    (length, a, b) order, skipping an edge that joins two components each
+    holding a multichromatic point.  Returns (edges, component labels in
+    vertex order)."""
+    members = inst.color_class(c)
+    local = mst.euclidean_mst(inst.xy[members])
+    d = inst.xy[members[local[:, 0]]] - inst.xy[members[local[:, 1]]]
+    order = np.lexsort((local[:, 1], local[:, 0], np.hypot(d[:, 0], d[:, 1])))
+    active = inst.multichromatic()[members].tolist()
+    uf = mst.UnionFind(members.size)
+    kept = []
+    for i in order:
+        ra, rb = uf.find(int(local[i, 0])), uf.find(int(local[i, 1]))
+        if ra == rb or (active[ra] and active[rb]):
+            continue
+        uf.union(ra, rb)
+        active[ra] = active[ra] or active[rb]
+        kept.append(i)
+    roots = {}
+    labels = [roots.setdefault(uf.find(v), len(roots)) for v in range(members.size)]
+    return core.as_edges(members[local[sorted(kept)]]), labels
+
+
+def grid_instance(n, k, fraction, seed, side):
+    """n distinct integer-grid points: many equal-length EMST edges."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(side * side, size=n, replace=False)
+    xy = np.stack([cells % side, cells // side], axis=1)
+    masks = 1 << rng.integers(0, k, size=n)
+    multi = rng.random(n) < fraction
+    masks[multi] |= 1 << ((np.log2(masks[multi]).astype(int) + 1) % k)
+    masks[:k] |= 1 << np.arange(k)  # every color present
+    return core.Instance.from_arrays(k, xy, masks)
+
+
+def _forced_cases():
+    for seed in range(12):
+        n = 6 + 3 * seed
+        for fraction in (0.0, 1.0 / n, 0.5):  # 0, 1 and many multichromatic points
+            yield core.generate_random(n, 3, fraction, seed)
+            yield core.generate_collinear(n, 3, fraction, seed)
+        yield grid_instance(n, 2, 0.3, seed, 7)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_forced_edges_match_veto_rule(sparse, monkeypatch):
+    if sparse:
+        monkeypatch.setattr(mst, "DENSE_LIMIT", 4)
+    classes = 0
+    active_counts = set()
+    for inst in _forced_cases():
+        for c in range(1, inst.k + 1):
+            forest = mst.forced_edges(inst, c)
+            edges, labels = veto_forest(inst, c)
+            assert np.array_equal(forest.edges, edges)
+            assert forest.components.tolist() == labels
+            classes += 1
+            active_counts.add(min(2, int(inst.multichromatic()[forest.points].sum())))
+    assert classes >= 100 and active_counts == {0, 1, 2}
+
+
+# sha256 of forced_edges(...).edges and .components bytes on the three color
+# classes of the r = 2 gadget, recorded with the veto rule
+SMALL_GADGET_FORCED = {
+    1: "97eced63cbc365bc04353835a12517dcff2b93cbec375a45408cdbd49783a524",
+    2: "605c313fc01320bf0bf63688a470c6d3a90cdf16c3919403f3bd411e3c4f7d61",
+    3: "537675c0a347c624663ee91802a9f5997a4a920d7cc75f174a8c510d77d0d1a0",
+}
+
+
+def test_small_gadget_forced_edges_pinned(small_gadget):
+    for c, digest in SMALL_GADGET_FORCED.items():
+        forest = mst.forced_edges(small_gadget.instance, c)
+        data = forest.edges.tobytes() + forest.components.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, c
