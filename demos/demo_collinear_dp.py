@@ -16,10 +16,13 @@ sol = collinear.dp_solve(inst)
 print("red-blue-red line:", sorted(sol.edge_set()), f"cost {sol.cost:.1f}")
 print("  (the red edge spans the blue point: no cheaper graph exists)")
 
+# A line of 8 points has up to 28 candidate edges, over the oracle's default
+# budget of 22.
+oracle.MAX_CANDIDATE_EDGES = 28
 for seed in range(40):
     ri = core.generate_collinear(3 + seed % 6, 2 + seed % 2, 0.5, seed)
     a = collinear.dp_solve(ri).cost
-    b = oracle.brute_force(ri, oracle.OracleBudget(max_candidate_edges=28)).cost
+    b = oracle.brute_force(ri).cost
     assert abs(a - b) <= 1e-9 * max(1, b)
 print("40 random collinear instances match the brute-force optimum")
 

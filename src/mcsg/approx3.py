@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mst
 from .core import Instance, Solution, as_edges, make_solution, merge_edges
-from .exact2 import M_LIMIT, project_pair, solve_pair
+from .exact2 import project_pair, solve_pair
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,16 @@ def mst_completion(inst: Instance, members, merged) -> np.ndarray:
     return as_edges([(ids[a], ids[b]) for a, b in kept])
 
 
-def approx_a1(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:
+def approx_a1(inst: Instance, config: ApproxConfig | None = None) -> Solution:
     """2-approximation for three colors: exact red-blue pair plus yellow MST."""
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
-    g_rb = solve_pair(project_pair(inst, 1, 2), m_limit=m_limit)
+    g_rb = solve_pair(project_pair(inst, 1, 2))
     edges = merge_edges(g_rb.edges, mst.subset_mst(inst.xy, inst.color_class(3)))
     return make_solution(inst, edges, "a1", ratio_bound=2.0)
 
 
-def approx_pairing(inst: Instance, pairing, m_limit: int = M_LIMIT) -> Solution:
+def approx_pairing(inst: Instance, pairing) -> Solution:
     """ceil(k/2)-approximation: exact solve per color pair, MST per singleton."""
     blocks = [tuple(sorted(int(c) for c in b)) for b in pairing]
     flat = [c for b in blocks for c in b]
@@ -85,7 +85,7 @@ def approx_pairing(inst: Instance, pairing, m_limit: int = M_LIMIT) -> Solution:
     parts = []
     for b in blocks:
         if len(b) == 2:
-            parts.append(solve_pair(project_pair(inst, b[0], b[1]), m_limit=m_limit).edges)
+            parts.append(solve_pair(project_pair(inst, b[0], b[1])).edges)
         else:
             parts.append(mst.subset_mst(inst.xy, inst.color_class(b[0])))
     return make_solution(inst, merge_edges(*parts), "pairing", ratio_bound=math.ceil(inst.k / 2))
@@ -94,22 +94,20 @@ def approx_pairing(inst: Instance, pairing, m_limit: int = M_LIMIT) -> Solution:
 _A2_SPLITS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
-def approx_a2_bundle(
-    inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None
-) -> CandidateBundle:
+def approx_a2_bundle(inst: Instance) -> CandidateBundle:
     """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H."""
     if inst.k != 3:
         raise ValueError("approx_a2 requires k == 3")
     graphs: list[Solution] = []
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2), m_limit=m_limit)
+        pair_sol = solve_pair(project_pair(inst, c1, c2))
         edges = merge_edges(pair_sol.edges, mst.subset_mst(inst.xy, inst.color_class(mono)))
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
     h_edges = mst.subset_mst(inst.xy, black)
     merged = (frozenset(int(p) for p in black),) if black.size else ()
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), m_limit=m_limit)
+        pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged))
         mono_edges = mst_completion(inst, inst.color_class(mono), merged)
         edges = merge_edges(h_edges, pair_sol.edges, mono_edges)
         graphs.append(make_solution(inst, edges, f"a2/G{i + 4}", ratio_bound=None))
@@ -120,10 +118,10 @@ def approx_a2_bundle(
     return CandidateBundle(graphs=tuple(graphs), chosen=chosen)
 
 
-def approx_a2(inst: Instance, m_limit: int = M_LIMIT, config: ApproxConfig | None = None) -> Solution:
+def approx_a2(inst: Instance, config: ApproxConfig | None = None) -> Solution:
     """(2 - 1/(3+2*rho))-approximation for three colors via six candidates."""
     config = config or ApproxConfig()
-    bundle = approx_a2_bundle(inst, m_limit=m_limit, config=config)
+    bundle = approx_a2_bundle(inst)
     best = bundle.best
     return Solution(
         algorithm="a2", cost=best.cost, edges=best.edges, ratio_bound=config.ratio_a2

@@ -24,6 +24,7 @@ from .core import (
     generate_collinear,
     generate_random,
     instance_to_json,
+    solution_from_json,
     solution_to_json,
 )
 from .render import RenderStyle, render_svg
@@ -54,15 +55,13 @@ def _is_collinear(inst: Instance) -> bool:
         return False
 
 
-def solve_dispatch(inst: Instance, mode: str = "auto", *, m_limit: int = exact2.M_LIMIT,
-                   rho: float = 1.21, k_guard: int = 6,
-                   budget: oracle.OracleBudget | None = None) -> Solution:
+def solve_dispatch(inst: Instance, mode: str = "auto", *, rho: float = 1.21) -> Solution:
     """Pick a solver: exact for k <= 2, DP for collinear inputs, A2 for k = 3,
     the pairing approximation otherwise."""
     if mode == "auto":
         if inst.k <= 2:
             mode = "exact2"
-        elif _is_collinear(inst) and inst.k <= k_guard:
+        elif _is_collinear(inst) and inst.k <= collinear.K_GUARD:
             mode = "dp"
         elif inst.k == 3:
             mode = "a2"
@@ -74,18 +73,18 @@ def solve_dispatch(inst: Instance, mode: str = "auto", *, m_limit: int = exact2.
             return make_solution(inst, edges, "exact2", ratio_bound=1.0)
         if inst.k != 2:
             raise FormatError("mode exact2 needs k <= 2 (use 'exact2' subcommand with --pair)")
-        return exact2.solve_pair(exact2.project_pair(inst, 1, 2), m_limit=m_limit)
+        return exact2.solve_pair(exact2.project_pair(inst, 1, 2))
     if mode == "dp":
-        return collinear.dp_solve(inst, k_guard=k_guard)
+        return collinear.dp_solve(inst)
     if mode == "a1":
-        return approx3.approx_a1(inst, m_limit=m_limit, config=approx3.ApproxConfig(rho))
+        return approx3.approx_a1(inst, config=approx3.ApproxConfig(rho))
     if mode == "a2":
-        return approx3.approx_a2(inst, m_limit=m_limit, config=approx3.ApproxConfig(rho))
+        return approx3.approx_a2(inst, config=approx3.ApproxConfig(rho))
     if mode == "pairing":
         blocks = [(c,) if c + 1 > inst.k else (c, c + 1) for c in range(1, inst.k + 1, 2)]
-        return approx3.approx_pairing(inst, blocks, m_limit=m_limit)
+        return approx3.approx_pairing(inst, blocks)
     if mode == "oracle":
-        return oracle.brute_force(inst, budget)
+        return oracle.brute_force(inst)
     raise FormatError(f"unknown mode: {mode}")
 
 
@@ -93,15 +92,18 @@ def _emit_solution(inst: Instance, sol: Solution, output: str | None,
                    svg: str | None = None) -> None:
     if not is_csg(inst, sol.edges):
         raise InternalInvariantError("produced edge set is not a colored spanning graph")
-    text = solution_to_json(sol)
+    _write(solution_to_json(sol), output)
+    if svg:
+        with open(svg, "wb") as fh:
+            fh.write(render_svg(inst, sol, RenderStyle()))
+
+
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         print(text)
-    if svg:
-        with open(svg, "wb") as fh:
-            fh.write(render_svg(inst, sol, RenderStyle()))
 
 
 class InternalInvariantError(RuntimeError):
@@ -118,29 +120,24 @@ def _build_parser() -> _Parser:
     sp.add_argument("--output")
     sp.add_argument("--mode", default="auto",
                     choices=["auto", "exact2", "a1", "a2", "dp", "pairing", "oracle"])
-    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--rho", type=float, default=1.21)
-    sp.add_argument("--k-guard", type=int, default=6)
     sp.add_argument("--svg", help="also write a rendering of the solution")
 
     sp = sub.add_parser("exact2", help="exact solver for one color pair")
     sp.add_argument("--input", required=True)
     sp.add_argument("--pair", default="1,2")
     sp.add_argument("--merge-groups")
-    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--output")
 
     sp = sub.add_parser("approx", help="approximation algorithms for k = 3")
     sp.add_argument("--input", required=True)
     sp.add_argument("--algorithm", required=True, choices=["a1", "a2"])
     sp.add_argument("--rho", type=float, default=1.21)
-    sp.add_argument("--m-limit", type=int, default=exact2.M_LIMIT)
     sp.add_argument("--output")
     sp.add_argument("--svg", help="also write a rendering of the solution")
 
     sp = sub.add_parser("collinear", help="exact DP for collinear instances")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--k-guard", type=int, default=6)
     sp.add_argument("--stats", action="store_true",
                     help="print per-cut state counts")
     sp.add_argument("--output")
@@ -148,7 +145,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("oracle", help="brute-force ground truth")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--max-edges", type=int, default=22)
     sp.add_argument("--star", action="store_true",
                     help="restrict to star-normal-form candidates (collinear)")
     sp.add_argument("--output")
@@ -191,8 +187,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.input)
-    sol = solve_dispatch(inst, args.mode, m_limit=args.m_limit, rho=args.rho,
-                         k_guard=args.k_guard)
+    sol = solve_dispatch(inst, args.mode, rho=args.rho)
     _emit_solution(inst, sol, args.output, args.svg)
     return EXIT_OK
 
@@ -213,15 +208,10 @@ def _cmd_exact2(args) -> int:
     c1, c2 = (int(x) for x in args.pair.split(","))
     merge = _read_merge_groups(args.merge_groups, inst.n) if args.merge_groups else ()
     proj = exact2.project_pair(inst, c1, c2, merge)
-    sol = exact2.solve_pair(proj, m_limit=args.m_limit)
+    sol = exact2.solve_pair(proj)
     if not exact2.spans_projection(proj, sol.edges):
         raise InternalInvariantError("pair solution does not span its projection")
-    text = solution_to_json(sol)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(solution_to_json(sol), args.output)
     return EXIT_OK
 
 
@@ -229,15 +219,14 @@ def _cmd_approx(args) -> int:
     inst = _read_instance(args.input)
     config = approx3.ApproxConfig(steiner_ratio_bound=args.rho)
     fn = approx3.approx_a1 if args.algorithm == "a1" else approx3.approx_a2
-    sol = fn(inst, m_limit=args.m_limit, config=config)
+    sol = fn(inst, config=config)
     _emit_solution(inst, sol, args.output, args.svg)
     return EXIT_OK
 
 
 def _cmd_collinear(args) -> int:
     inst = _read_instance(args.input)
-    sol, stats = collinear.dp_solve_with_stats(inst, k_guard=args.k_guard,
-                                               collect_stats=args.stats)
+    sol, stats = collinear.dp_solve_with_stats(inst, collect_stats=args.stats)
     if args.stats and stats is not None:
         for i, (n_states, max_pi) in enumerate(
             zip(stats.per_cut_states, stats.per_cut_max_pi_per_color), start=1
@@ -250,8 +239,7 @@ def _cmd_collinear(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _read_instance(args.input)
-    budget = oracle.OracleBudget(max_candidate_edges=args.max_edges)
-    sol = oracle.brute_force(inst, budget, star_restricted=args.star)
+    sol = oracle.brute_force(inst, star_restricted=args.star)
     _emit_solution(inst, sol, args.output, args.svg)
     return EXIT_OK
 
@@ -281,14 +269,21 @@ def _cmd_gen(args) -> int:
 def _cmd_gen_gadget(args) -> int:
     with open(args.cnf, "r", encoding="utf-8") as fh:
         cnf = gadgets.parse_cnf(fh.read())
+    bits = None
+    if args.witness:  # read before the gadget materialises, so a bad file fails fast
+        with open(args.witness, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+        if not set(tokens) <= {"0", "1", "false", "true", "False", "True"}:
+            raise FormatError("witness values must be 0, 1, true, false, True or False")
+        bits = [tok in ("1", "true", "True") for tok in tokens]
+        if not cnf.satisfies(bits):  # also checks that there is one value per variable
+            raise FormatError("the witness does not satisfy the formula")
     g = gadgets.build_gadget(cnf)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(instance_to_json(g.instance))
     print(json.dumps({"r": g.r, "active_points": int(g.active_points.size),
                       "epsilon": g.epsilon, "delta": g.delta, "W": g.W}))
-    if args.witness:
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            bits = [tok not in ("0", "false", "False") for tok in fh.read().split()]
+    if bits is not None:
         sol = gadgets.build_witness(g, bits)
         if not is_csg(g.instance, sol.edges):
             raise InternalInvariantError("witness is not a colored spanning graph")
@@ -322,8 +317,6 @@ def _cmd_render(args) -> int:
     inst = _read_instance(args.input)
     sol = None
     if args.solution:
-        from .core import solution_from_json
-
         with open(args.solution, "r", encoding="utf-8") as fh:
             sol = solution_from_json(fh)
     data = render_svg(inst, sol, RenderStyle())

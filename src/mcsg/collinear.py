@@ -25,9 +25,12 @@ from math import prod
 
 import numpy as np
 
-from .core import Instance, RefusalError, Solution, as_edges, is_csg, make_solution, set_partitions
+from .core import (Instance, RefusalError, Solution, as_edges, is_csg, make_solution, over_budget,
+                   set_partitions)
 
-DEFAULT_K_GUARD = 6
+# The most colors a line may have: the gamma-sets of a cut range over subsets
+# of the 2^k - 1 color sets.
+K_GUARD = 6
 COLLINEAR_TOL = 1e-9
 
 
@@ -109,9 +112,9 @@ class CutEdgeSet:
 class _Prep:
     """Sorted view of a collinear instance plus its table of cut edges."""
 
-    def __init__(self, inst: Instance, k_guard: int):
-        if inst.k > k_guard:
-            raise RefusalError(f"k={inst.k} exceeds the DP state-space guard of {k_guard}")
+    def __init__(self, inst: Instance):
+        if inst.k > K_GUARD:
+            raise over_budget("collinear DP", inst.k, "colors", K_GUARD, "collinear.K_GUARD")
         self.inst = inst
         self.k = inst.k
         order, t = collinear_order(inst)
@@ -172,9 +175,9 @@ def _as_mask(g, k: int) -> int:
     return m
 
 
-def cut_edges(inst: Instance, i: int, gamma, k_guard: int = DEFAULT_K_GUARD) -> CutEdgeSet | None:
+def cut_edges(inst: Instance, i: int, gamma) -> CutEdgeSet | None:
     """Materialize the unique edge per color set at cut i; None if infeasible."""
-    prep = _Prep(inst, k_guard)
+    prep = _Prep(inst)
     gs = tuple(sorted(_as_mask(g, inst.k) for g in gamma))
     edges = []
     for g in gs:
@@ -185,9 +188,9 @@ def cut_edges(inst: Instance, i: int, gamma, k_guard: int = DEFAULT_K_GUARD) -> 
     return CutEdgeSet(i=i, gamma=gs, edges=tuple(edges))
 
 
-def is_valid_cut(inst: Instance, cutset: CutEdgeSet, k_guard: int = DEFAULT_K_GUARD) -> bool:
+def is_valid_cut(inst: Instance, cutset: CutEdgeSet) -> bool:
     """A cut-edge set is valid iff every color split by the cut is covered."""
-    prep = _Prep(inst, k_guard)
+    prep = _Prep(inst)
     return prep.valid(cutset.i, cutset.gamma)
 
 
@@ -361,13 +364,6 @@ def _dp(prep: _Prep, stats: DpStats | None):
                 biggest = max(biggest, len(partitions_of(len(bs))))
         stats.per_cut_max_pi_per_color.append(biggest)
 
-    def over_budget(cut: int, at_least: int) -> RefusalError:
-        return RefusalError(
-            f"collinear DP: cut {cut} of {n} needs at least {at_least} states, "
-            f"{at_least - MAX_STATES_PER_CUT} over the budget of {MAX_STATES_PER_CUT} states "
-            f"per cut (MAX_STATES_PER_CUT)"
-        )
-
     # cut 1: every valid cut-edge set with every partition vector costs 0
     states: dict[tuple[int, ...], dict[int, int]] = {}
     shapes: dict[tuple[int, ...], _CutShape] = {}
@@ -380,7 +376,9 @@ def _dp(prep: _Prep, stats: DpStats | None):
         opts = [partitions_of(len(bs)) for bs in sh.bs]
         count_after = count + prod(map(len, opts))
         if count_after > MAX_STATES_PER_CUT:
-            raise over_budget(1, count_after)
+            raise over_budget(f"collinear DP: cut 1 of {n}", count_after, "states",
+                              MAX_STATES_PER_CUT, "collinear.MAX_STATES_PER_CUT",
+                              at_least=True, per="cut")
         for pk in product(*opts):
             group[pk_id(pk)] = count
             count += 1
@@ -448,7 +446,10 @@ def _dp(prep: _Prep, stats: DpStats | None):
                                 # the products are distinct states of this cut
                                 size = prod(map(len, opts))
                                 if size > MAX_STATES_PER_CUT:
-                                    raise over_budget(cut, size)
+                                    raise over_budget(
+                                        f"collinear DP: cut {cut} of {n}", size, "states",
+                                        MAX_STATES_PER_CUT, "collinear.MAX_STATES_PER_CUT",
+                                        at_least=True, per="cut")
                                 pks = memo[kappa] = [pk_id(pk) for pk in product(*opts)]
                         if not pks:
                             continue
@@ -457,7 +458,10 @@ def _dp(prep: _Prep, stats: DpStats | None):
                             idx = group.get(pk)
                             if idx is None:
                                 if len(new_vals) == MAX_STATES_PER_CUT:
-                                    raise over_budget(cut, MAX_STATES_PER_CUT + 1)
+                                    raise over_budget(
+                                        f"collinear DP: cut {cut} of {n}", len(new_vals) + 1,
+                                        "states", MAX_STATES_PER_CUT,
+                                        "collinear.MAX_STATES_PER_CUT", at_least=True, per="cut")
                                 group[pk] = len(new_vals)
                                 new_vals.append(cand)
                                 new_par.append(j)
@@ -486,16 +490,16 @@ def _dp(prep: _Prep, stats: DpStats | None):
     return cost, edges
 
 
-def dp_solve(inst: Instance, k_guard: int = DEFAULT_K_GUARD) -> Solution:
+def dp_solve(inst: Instance) -> Solution:
     """Exact minimum CSG for a collinear instance in time linear in n."""
-    sol, _ = dp_solve_with_stats(inst, k_guard=k_guard, collect_stats=False)
+    sol, _ = dp_solve_with_stats(inst, collect_stats=False)
     return sol
 
 
 def dp_solve_with_stats(
-    inst: Instance, k_guard: int = DEFAULT_K_GUARD, collect_stats: bool = True
+    inst: Instance, collect_stats: bool = True
 ) -> tuple[Solution, DpStats | None]:
-    prep = _Prep(inst, k_guard)
+    prep = _Prep(inst)
     stats = DpStats() if collect_stats else None
     cost, local_edges = _dp(prep, stats)
     edges = [(int(prep.order[a]), int(prep.order[b])) for a, b in local_edges]

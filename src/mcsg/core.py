@@ -37,6 +37,17 @@ class RefusalError(RuntimeError):
     """A solver declined the input because a configured limit was exceeded."""
 
 
+def over_budget(what: str, need: int, unit: str, limit: int, constant: str, *,
+                at_least: bool = False, per: str = "") -> RefusalError:
+    """The refusal of an exponential solver: ``what`` needs ``need`` ``unit``
+    (``at_least``: a lower bound) against ``limit``, held in the module constant
+    ``constant``; ``per`` names what the budget counts per, such as a DP cut."""
+    return RefusalError(
+        f"{what} needs {'at least ' if at_least else ''}{need} {unit}, {need - limit} over "
+        f"the budget of {limit} {unit}{f' per {per}' if per else ''} ({constant})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # color sets
 
@@ -414,6 +425,8 @@ def solution_to_json(sol: Solution) -> str:
 
 
 def solution_from_json(source: str | bytes | IO) -> Solution:
+    """Parse the JSON solution format; the cost must be a JSON number and every
+    edge endpoint a JSON integer (FormatError otherwise)."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -423,13 +436,18 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed solution document: {exc}") from exc
     try:
+        cost, edges = doc["cost"], doc["edges"]
+        if type(cost) not in (int, float):  # also rejects true and "2"
+            raise FormatError(f"solution cost must be a JSON number, got {cost!r}")
+        if any(type(p) is not int for e in edges for p in e):  # 0.7 or true would truncate
+            raise FormatError("solution edge endpoints must be JSON integers")
         return Solution(
             algorithm=str(doc["algorithm"]),
-            cost=float(doc["cost"]),
-            edges=as_edges(doc["edges"]),
+            cost=float(cost),
+            edges=as_edges(edges),
             ratio_bound=None if doc.get("ratio_bound") is None else float(doc["ratio_bound"]),
         )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise FormatError(f"malformed solution document: {exc}") from exc
 
 

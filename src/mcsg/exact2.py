@@ -39,9 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mst
-from .core import Instance, RefusalError, Solution, make_solution, set_partitions
+from .core import Instance, Solution, as_edges, make_solution, over_budget, set_partitions
 
-# Default limit on purple units for every caller of solve_pair.
+# The most purple units solve_pair accepts: the search visits up to Bell(m)
+# partitions, 678,570 at m = 11.
 M_LIMIT = 11
 
 
@@ -251,27 +252,25 @@ class _World:
         return cost
 
 
-def solve_pair(proj: PairProjection, m_limit: int = M_LIMIT) -> Solution:
+def solve_pair(proj: PairProjection) -> Solution:
     """Minimum-cost CSG of a 2-color projection, exact.
 
     Refuses when the number m of purple units (bichromatic points, those of
-    one ``group_merge`` block counted once) exceeds ``m_limit``.  The result
+    one ``group_merge`` block counted once) exceeds ``M_LIMIT``.  The result
     contains the forced edges of both colors and carries ratio 1.0; edges are
     reported in base-instance indices.
     """
     m = len(_units(proj)[1])
-    if m > m_limit:
-        raise RefusalError(f"m={m} purple units exceed the limit of {m_limit}")
+    if m > M_LIMIT:
+        raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
     return _Engine(proj).solve("exact2")
 
 
 def spans_projection(proj: PairProjection, edges) -> bool:
     """Connectivity check for a pair solve: both projected colors span,
     with group_merge blocks treated as pre-connected."""
-    from . import core as _core
-
     pos = {int(g): i for i, g in enumerate(proj.idx)}
-    arr = _core.as_edges(edges, proj.base.n)
+    arr = as_edges(edges, proj.base.n)
     for which in (0, 1):
         bit = 1 << which
         members = [i for i in range(proj.n) if int(proj.bits[i]) & bit]

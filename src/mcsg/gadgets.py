@@ -326,10 +326,6 @@ class _Plan:
     def _add(self, color: int, walker: _Walker) -> None:
         self.wires.append(_wire(color, walker))
 
-    def to_float(self, p: tuple[int, int]) -> tuple[float, float]:
-        s = self.epsilon / 5.0
-        return (p[0] * s, p[1] * s)
-
     # -- construction -----------------------------------------------------
 
     def _build(self) -> None:

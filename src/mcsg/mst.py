@@ -75,12 +75,17 @@ def kruskal(n: int, pairs, blocks=()) -> list[tuple[int, int]]:
     return kept
 
 
+def _by_length(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices that sort the pairs (a, b) by (length, a, b).  The length is
+    sqrt(dx*dx + dy*dy), exact on integer ties, which np.hypot breaks by last-bit noise."""
+    d = xy[a] - xy[b]
+    return np.lexsort((b, a, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+
+
 def _dense_mst(xy: np.ndarray) -> np.ndarray:
     n = xy.shape[0]
     a, b = np.triu_indices(n, k=1)
-    d = xy[a] - xy[b]
-    order = np.lexsort((b, a, np.hypot(d[:, 0], d[:, 1])))  # ties broken by (weight, a, b)
-    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in order)))
+    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in _by_length(xy, a, b))))
 
 
 def _knn_candidates(xy: np.ndarray, k: int) -> np.ndarray:
@@ -156,8 +161,7 @@ def subset_mst(xy: np.ndarray, members) -> np.ndarray:
     members = np.asarray(members, dtype=np.int64)
     tree = members[euclidean_mst(xy[members])]
     tree.sort(axis=1)
-    d = xy[tree[:, 0]] - xy[tree[:, 1]]
-    return tree[np.lexsort((tree[:, 1], tree[:, 0], np.hypot(d[:, 0], d[:, 1])))]
+    return tree[_by_length(xy, tree[:, 0], tree[:, 1])]
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,15 @@ from .core import (
     generate_collinear,
     generate_random,
     make_solution,
+    over_budget,
 )
-from .exact2 import M_LIMIT
+from .mst import UnionFind
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Search limits: refuse instances whose candidate set is too large."""
-
-    max_candidate_edges: int = 22
+# The most candidate edges each enumerator accepts: brute_force's
+# branch-and-bound walks up to 2^m subsets of the m candidates, and
+# naive_brute_force walks all of them.
+MAX_CANDIDATE_EDGES = 22
+NAIVE_MAX_EDGES = 15
 
 
 def _line_order(inst: Instance) -> np.ndarray:
@@ -123,24 +123,18 @@ def _split_colors(inst: Instance) -> list[_ColorState]:
 
 
 def brute_force(
-    inst: Instance,
-    budget: OracleBudget | None = None,
-    *,
-    star_restricted: bool = False,
-    required: Iterable = (),
+    inst: Instance, *, star_restricted: bool = False, required: Iterable = ()
 ) -> Solution:
     """Exhaustive minimum-cost CSG search with branch-and-bound.
 
     ``required`` edges are forced into every considered subset.  Refuses the
-    instance when the candidate-edge count exceeds the budget.
+    instance when the candidate-edge count exceeds ``MAX_CANDIDATE_EDGES``.
     """
-    budget = budget or OracleBudget()
     edges, weights = candidate_edges(inst, star_restricted)
     m = edges.shape[0]
-    if m > budget.max_candidate_edges:
-        raise RefusalError(
-            f"{m} candidate edges exceed the oracle budget of {budget.max_candidate_edges}"
-        )
+    if m > MAX_CANDIDATE_EDGES:
+        raise over_budget("oracle", m, "candidate edges", MAX_CANDIDATE_EDGES,
+                          "oracle.MAX_CANDIDATE_EDGES")
     colors = _split_colors(inst)
     req = {(int(a), int(b)) for a, b in as_edges(required, inst.n)}
 
@@ -228,44 +222,32 @@ def brute_force(
     return make_solution(inst, best_edges, "oracle", ratio_bound=1.0)
 
 
-def naive_brute_force(inst: Instance, *, star_restricted: bool = False, max_edges: int = 15) -> Solution:
+def _spans(n: int, members: set[int], pairs) -> bool:
+    """Whether the pairs with both ends in ``members`` connect all of them."""
+    uf = UnionFind(n)
+    for a, b in pairs:
+        if a in members and b in members:
+            uf.union(a, b)
+    return len({uf.find(p) for p in members}) <= 1
+
+
+def naive_brute_force(inst: Instance, *, star_restricted: bool = False) -> Solution:
     """Unpruned full-subset enumeration; cross-checks the branch-and-bound."""
     edges, weights = candidate_edges(inst, star_restricted)
     m = edges.shape[0]
-    if m > max_edges:
-        raise RefusalError(f"{m} candidate edges exceed the naive enumerator limit of {max_edges}")
-    colors = [(1 << (c - 1), [int(p) for p in inst.color_class(c)])
-              for c in range(1, inst.k + 1) if inst.color_class(c).size >= 2]
+    if m > NAIVE_MAX_EDGES:
+        raise over_budget("naive oracle", m, "candidate edges", NAIVE_MAX_EDGES,
+                          "oracle.NAIVE_MAX_EDGES")
+    classes = [set(inst.color_class(c).tolist()) for c in range(1, inst.k + 1)]
+    pairs = [tuple(e) for e in edges.tolist()]
     best = (math.inf, None)
     for subset in range(1 << m):
         chosen = [i for i in range(m) if subset >> i & 1]
         cost = float(sum(weights[i] for i in chosen))
-        if cost > best[0]:
+        if cost > best[0] or not all(_spans(inst.n, members, [pairs[i] for i in chosen])
+                                     for members in classes):
             continue
-        ok = True
-        for bit, members in colors:
-            parent = {p: p for p in members}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            comps = len(members)
-            for i in chosen:
-                a, b = int(edges[i, 0]), int(edges[i, 1])
-                if a in parent and b in parent:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-                        comps -= 1
-            if comps != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        key = tuple(sorted((int(edges[i, 0]), int(edges[i, 1])) for i in chosen))
+        key = tuple(sorted(pairs[i] for i in chosen))
         if cost < best[0] or (cost == best[0] and key < best[1]):
             best = (cost, key)
     if best[1] is None:
@@ -336,9 +318,7 @@ def ratio_bench(
     n_max: int = 6,
     k: int = 3,
     fraction: float = 0.5,
-    budget: OracleBudget | None = None,
     rho: float = 1.21,
-    m_limit: int = M_LIMIT,
 ) -> BenchReport:
     """Compare algorithms against the brute-force optimum over seeded instances.
 
@@ -351,17 +331,17 @@ def ratio_bench(
 
     def run_algo(name: str, inst: Instance) -> Solution:
         if name == "a1":
-            return approx3.approx_a1(inst, m_limit=m_limit, config=config)
+            return approx3.approx_a1(inst, config=config)
         if name == "a2":
-            return approx3.approx_a2(inst, m_limit=m_limit, config=config)
+            return approx3.approx_a2(inst, config=config)
         if name == "exact2":
-            return exact2.solve_pair(exact2.project_pair(inst, 1, 2), m_limit=m_limit)
+            return exact2.solve_pair(exact2.project_pair(inst, 1, 2))
         raise ValueError(f"unknown algorithm: {name}")
 
     for seed in range(seeds):
         try:
             inst = _make_family(family, seed, n_max, k, fraction)
-            opt = brute_force(inst, budget).cost
+            opt = brute_force(inst).cost
         except (RefusalError, ValueError) as exc:
             report.failures.append((seed, "generate/oracle", str(exc)))
             continue

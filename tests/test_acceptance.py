@@ -15,7 +15,12 @@ from mcsg import approx3, collinear, core, exact2, gadgets, mst, oracle
 from mcsg.render import render_svg
 
 RTOL = 1e-9
-BUDGET = oracle.OracleBudget(max_candidate_edges=28)
+BUDGET = 28  # oracle.MAX_CANDIDATE_EDGES in this suite: a line of 8 points has 28 candidates
+
+
+@pytest.fixture(autouse=True)
+def oracle_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_CANDIDATE_EDGES", BUDGET)
 
 
 def close(a, b, rtol=RTOL):
@@ -34,7 +39,7 @@ def test_criterion_1_exact2_oracle_equivalence():
     for seed in range(67):
         for frac in (0.2, 0.5, 1.0):
             inst = core.generate_random(2 + seed % 6, 2, frac, seed * 3 + int(frac * 10))
-            opt = oracle.brute_force(inst, BUDGET).cost
+            opt = oracle.brute_force(inst).cost
             got = exact2.solve_pair(exact2.project_pair(inst, 1, 2)).cost
             worst = max(worst, abs(got - opt) / max(1.0, opt))
             assert close(got, opt), (seed, frac, got, opt)
@@ -51,15 +56,15 @@ def test_criterion_2_collinear_oracle_equivalence():
         k = 2 + seed % 2
         n = 3 + seed % 6
         inst = core.generate_collinear(n, k, (0.2, 0.5, 1.0)[seed % 3], seed)
-        plain = oracle.brute_force(inst, BUDGET).cost
-        star = oracle.brute_force(inst, BUDGET, star_restricted=True).cost
+        plain = oracle.brute_force(inst).cost
+        star = oracle.brute_force(inst, star_restricted=True).cost
         assert close(plain, star), ("star modes disagree", seed, plain, star)
         got = collinear.dp_solve(inst).cost
         assert close(got, plain), (seed, got, plain)
         checked += 1
     for seed in range(100, 200):
         inst = core.generate_collinear(4 + seed % 5, 3, 0.5, seed)
-        plain = oracle.brute_force(inst, BUDGET).cost
+        plain = oracle.brute_force(inst).cost
         got = collinear.dp_solve(inst).cost
         assert close(got, plain), (seed, got, plain)
         checked += 1
@@ -73,7 +78,7 @@ def test_criterion_3_ratio_bounds():
     worst_a1 = worst_a2 = 0.0
     for seed in range(200):
         inst = core.generate_random(3 + seed % 4, 3, (0.2, 0.5, 1.0)[seed % 3], seed)
-        opt = oracle.brute_force(inst, BUDGET).cost
+        opt = oracle.brute_force(inst).cost
         a1 = approx3.approx_a1(inst)
         bundle = approx3.approx_a2_bundle(inst)
         a2 = bundle.best
@@ -93,8 +98,8 @@ def test_criterion_4_forced_edge_safety():
     for seed in range(100):
         inst = core.generate_random(2 + seed % 6, 2 + seed % 2, 0.5, seed)
         required = mst.all_forced_edges(inst)
-        free = oracle.brute_force(inst, BUDGET).cost
-        constrained = oracle.brute_force(inst, BUDGET, required=required).cost
+        free = oracle.brute_force(inst).cost
+        constrained = oracle.brute_force(inst, required=required).cost
         assert close(free, constrained), (seed, free, constrained)
     report(4, True, "forced-edge-constrained optimum = unconstrained on 100 instances")
 
@@ -159,12 +164,12 @@ def test_criterion_7_determinism():
     pairs = [
         core.solution_to_json(approx3.approx_a1(inst)),
         core.solution_to_json(approx3.approx_a2(inst)),
-        core.solution_to_json(oracle.brute_force(inst, BUDGET)),
+        core.solution_to_json(oracle.brute_force(inst)),
     ]
     again = [
         core.solution_to_json(approx3.approx_a1(inst)),
         core.solution_to_json(approx3.approx_a2(inst)),
-        core.solution_to_json(oracle.brute_force(inst, BUDGET)),
+        core.solution_to_json(oracle.brute_force(inst)),
     ]
     assert pairs == again
     two = core.generate_random(12, 2, 0.3, 9)

@@ -96,6 +96,29 @@ def test_gen_gadget_with_witness(tmp_path, capsys):
     assert wit.cost == pytest.approx(meta["W"], rel=1e-9)
 
 
+def test_gen_gadget_rejects_bad_witness_before_materialising(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p mcnf 2 1\n+ 1 2\n")
+    inst_out = tmp_path / "gadget.json"
+    assign = tmp_path / "a.txt"
+    # not a truth value, not one value per variable, not satisfying
+    for text in ("yes 1", "2 0", "1", "1 0 1", "0 false"):
+        assign.write_text(text)
+        assert run("gen", "gadget", "--cnf", str(cnf), "--out", str(inst_out),
+                   "--witness", str(assign)) == 1, text
+        assert not inst_out.exists(), text
+
+
+def test_render_rejects_non_integer_solution_endpoints(tmp_path):
+    inst = tmp_path / "i.json"
+    inst.write_text(core.instance_to_json(core.generate_random(3, 2, 0.5, 1)))
+    sol = tmp_path / "s.json"
+    sol.write_text(json.dumps({"algorithm": "x", "cost": 1.0, "edges": [[0.7, 1], [True, 2]],
+                               "ratio_bound": None}))
+    assert run("render", "--input", str(inst), "--solution", str(sol),
+               "--output", str(tmp_path / "o.svg")) == 1
+
+
 def test_exact2_with_merge_groups(tmp_path):
     inst = core.generate_random(6, 3, 0.6, 9)
     path = tmp_path / "i.json"

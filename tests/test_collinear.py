@@ -73,7 +73,7 @@ def test_edge_table_matches_anchor_definition():
     for seed in range(30):
         k = 2 + seed % 3
         inst = core.generate_collinear(3 + seed % 12, k, (0.2, 0.5, 1.0)[seed % 3], seed)
-        prep = collinear._Prep(inst, collinear.DEFAULT_K_GUARD)
+        prep = collinear._Prep(inst)
         masks = prep.masks.tolist()
         for cut in range(1, inst.n + 1):
             want = {}
@@ -139,12 +139,13 @@ def test_dp_examples():
     assert sol3.cost == pytest.approx(oracle.brute_force(tricky).cost, rel=1e-9)
 
 
-def test_dp_single_point_and_k_guard():
+def test_dp_single_point_and_k_guard(monkeypatch):
     single = core.Instance(3, [(0, 0, {2})])
     assert collinear.dp_solve(single).cost == 0.0
     inst = line([{1}, {2}])
+    monkeypatch.setattr(collinear, "K_GUARD", 1)
     with pytest.raises(core.RefusalError):
-        collinear.dp_solve(inst, k_guard=1)
+        collinear.dp_solve(inst)
 
 
 def test_dp_rejects_non_collinear():
@@ -164,13 +165,14 @@ def test_dp_accepts_any_line_and_original_indices():
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_dp_matches_oracle(seed):
+def test_dp_matches_oracle(seed, monkeypatch):
     # seeds 60..99: k = 4, where edges sharing several colors make the most
     # distinct transition shapes
     k, n = (4, 3 + seed % 5) if seed >= 60 else (2 + seed % 2, 3 + seed % 6)
     inst = core.generate_collinear(n, k, (0.2, 0.5, 1.0)[seed % 3], seed)
     sol = collinear.dp_solve(inst)
-    opt = oracle.brute_force(inst, oracle.OracleBudget(max_candidate_edges=28))
+    monkeypatch.setattr(oracle, "MAX_CANDIDATE_EDGES", 28)  # a line of 8 points has 28 candidates
+    opt = oracle.brute_force(inst)
     assert sol.cost == pytest.approx(opt.cost, rel=1e-9)
     # output satisfies the star property
     norm = collinear.normalize_star(inst, sol.edges)

@@ -192,6 +192,17 @@ def test_solution_json_round_trip():
     assert np.array_equal(again.edges, sol.edges)
 
 
+def test_solution_from_json_rejects_non_integer_endpoints_and_odd_costs():
+    good = {"algorithm": "x", "cost": 1, "edges": [[0, 1], [1, 2]], "ratio_bound": None}
+    assert core.solution_from_json(json.dumps(good)).edge_set() == {(0, 1), (1, 2)}
+    for edges in ([[0.7, 1], [1, 2]], [[True, 2]], [["0", 1]], [[0, None]], [1, 2]):
+        with pytest.raises(core.FormatError):
+            core.solution_from_json(json.dumps(dict(good, edges=edges)))
+    for cost in (True, "2", None, [1.0], 10**400):
+        with pytest.raises(core.FormatError):
+            core.solution_from_json(json.dumps(dict(good, cost=cost)))
+
+
 def test_save_instance_to_stream():
     inst = core.generate_random(4, 2, 0.5, 9)
     buf = io.StringIO()

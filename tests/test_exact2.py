@@ -30,18 +30,19 @@ def test_single_color_degenerates_to_mst():
     assert sol.cost == pytest.approx(3.0)
 
 
-def test_m_limit_refusal():
-    inst = core.generate_random(11, 2, 1.0, 0)
-    with pytest.raises(core.RefusalError, match="limit of 9"):
-        exact2.solve_pair(proj(inst), m_limit=9)
-    with pytest.raises(core.RefusalError, match="limit of 4"):
-        exact2.solve_pair(proj(core.generate_random(6, 2, 1.0, 0)), m_limit=4)
+def test_m_limit_refusal(monkeypatch):
     over = core.generate_random(exact2.M_LIMIT + 1, 2, 1.0, 0)
-    with pytest.raises(core.RefusalError, match=f"limit of {exact2.M_LIMIT}$"):
+    with pytest.raises(core.RefusalError, match=rf"budget of {exact2.M_LIMIT} purple units"):
         exact2.solve_pair(proj(over))
     # the limit counts units: one group_merge block of 12 purple points is one
     one_unit = proj(core.generate_random(12, 2, 1.0, 0), (frozenset(range(12)),))
     assert exact2.solve_pair(one_unit).cost == 0.0
+    monkeypatch.setattr(exact2, "M_LIMIT", 9)
+    with pytest.raises(core.RefusalError, match="needs 11 purple units, 2 over the budget of 9"):
+        exact2.solve_pair(proj(core.generate_random(11, 2, 1.0, 0)))
+    monkeypatch.setattr(exact2, "M_LIMIT", 4)
+    with pytest.raises(core.RefusalError, match="needs 6 purple units, 2 over the budget of 4"):
+        exact2.solve_pair(proj(core.generate_random(6, 2, 1.0, 0)))
 
 
 def test_completion_cost_examples():

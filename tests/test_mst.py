@@ -41,6 +41,14 @@ def test_unit_square_tie_break():
     assert cost == pytest.approx(brute_mst_cost(xy)) == pytest.approx(3.0)
 
 
+def test_integer_length_tie_break():
+    # (0, 1) and (0, 2) both have length sqrt(2993); np.hypot rounds the
+    # second one ulp lower, which used to put (0, 2) first
+    xy = [(0, 0), (17, 52), (28, 47)]
+    assert mst.euclidean_mst(xy).tolist() == [[0, 1], [1, 2]]
+    assert mst.subset_mst(np.array(xy, dtype=float), [0, 1, 2]).tolist() == [[1, 2], [0, 1]]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 100_000), st.integers(2, 7))
 def test_matches_spanning_tree_enumeration(seed, n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcsg import core, mst, oracle
+from mcsg import core, exact2, mst, oracle
 
 
 def test_single_point_and_forced_pair():
@@ -89,10 +89,10 @@ def test_ratio_bench_families():
     assert not report.violations()
 
 
-def test_ratio_bench_records_failures_and_csv(tmp_path):
-    report = oracle.ratio_bench("random", ["exact2"], 5, n_max=6, k=2, fraction=1.0,
-                                m_limit=2)
-    assert report.failures  # m_limit refusals recorded, run continued
+def test_ratio_bench_records_failures_and_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(exact2, "M_LIMIT", 2)
+    report = oracle.ratio_bench("random", ["exact2"], 5, n_max=6, k=2, fraction=1.0)
+    assert report.failures  # M_LIMIT refusals recorded, run continued
     out = tmp_path / "r.csv"
     report.write_csv(str(out))
     lines = out.read_text().splitlines()
