@@ -1,5 +1,10 @@
 """Command-line front end: solving, generation, benchmarking, rendering.
 
+``solve --mode`` runs one solver: ``auto`` dispatches, ``a1`` and ``a2`` are
+the k = 3 approximations and ``oracle`` is the brute-force ground truth.
+``exact2`` solves one color pair, ``collinear`` runs the line DP and prints
+its per-cut state counts on ``--stats``.
+
 Exit codes: 0 success, 1 usage error, 2 solver refusal, 3 internal
 invariant violation.  Every solution is validated against the spanning
 check before it is written.
@@ -129,24 +134,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--merge-groups")
     sp.add_argument("--output")
 
-    sp = sub.add_parser("approx", help="approximation algorithms for k = 3")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--algorithm", required=True, choices=["a1", "a2"])
-    sp.add_argument("--rho", type=float, default=1.21)
-    sp.add_argument("--output")
-    sp.add_argument("--svg", help="also write a rendering of the solution")
-
     sp = sub.add_parser("collinear", help="exact DP for collinear instances")
     sp.add_argument("--input", required=True)
     sp.add_argument("--stats", action="store_true",
                     help="print per-cut state counts")
-    sp.add_argument("--output")
-    sp.add_argument("--svg", help="also write a rendering of the solution")
-
-    sp = sub.add_parser("oracle", help="brute-force ground truth")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--star", action="store_true",
-                    help="restrict to star-normal-form candidates (collinear)")
     sp.add_argument("--output")
     sp.add_argument("--svg", help="also write a rendering of the solution")
 
@@ -215,31 +206,15 @@ def _cmd_exact2(args) -> int:
     return EXIT_OK
 
 
-def _cmd_approx(args) -> int:
-    inst = _read_instance(args.input)
-    config = approx3.ApproxConfig(steiner_ratio_bound=args.rho)
-    fn = approx3.approx_a1 if args.algorithm == "a1" else approx3.approx_a2
-    sol = fn(inst, config=config)
-    _emit_solution(inst, sol, args.output, args.svg)
-    return EXIT_OK
-
-
 def _cmd_collinear(args) -> int:
     inst = _read_instance(args.input)
-    sol, stats = collinear.dp_solve_with_stats(inst, collect_stats=args.stats)
-    if args.stats and stats is not None:
+    sol, stats = collinear.dp_solve_with_stats(inst)
+    if args.stats:
         for i, (n_states, max_pi) in enumerate(
             zip(stats.per_cut_states, stats.per_cut_max_pi_per_color), start=1
         ):
             print(f"cut {i}: states={n_states} max_partitions_per_color={max_pi}",
                   file=sys.stderr)
-    _emit_solution(inst, sol, args.output, args.svg)
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    inst = _read_instance(args.input)
-    sol = oracle.brute_force(inst, star_restricted=args.star)
     _emit_solution(inst, sol, args.output, args.svg)
     return EXIT_OK
 
@@ -328,9 +303,7 @@ def _cmd_render(args) -> int:
 _COMMANDS = {
     "solve": _cmd_solve,
     "exact2": _cmd_exact2,
-    "approx": _cmd_approx,
     "collinear": _cmd_collinear,
-    "oracle": _cmd_oracle,
     "prune": _cmd_prune,
     "gen": _cmd_gen,
     "bench": _cmd_bench,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (Instance, RefusalError, Solution, as_edges, is_csg, make_solution, over_budget,
                    set_partitions)
+from .mst import UnionFind
 
 # The most colors a line may have: the gamma-sets of a cut range over subsets
 # of the 2^k - 1 color sets.
@@ -100,15 +101,6 @@ def normalize_star(inst: Instance, edges) -> np.ndarray:
 # cut-edge machinery
 
 
-@dataclass(frozen=True)
-class CutEdgeSet:
-    """The crossing edges of cut i, one per distinct shared-color set."""
-
-    i: int
-    gamma: tuple[int, ...]                      # color masks, ascending
-    edges: tuple[tuple[int, int, int], ...]     # (mask, a, b) aligned with gamma
-
-
 class _Prep:
     """Sorted view of a collinear instance plus its table of cut edges."""
 
@@ -147,15 +139,6 @@ class _Prep:
         self.seen = seen.tolist()
         self.split = (seen & later).tolist()
 
-    def cut_edge(self, cut: int, g: int) -> tuple[int, int] | None:
-        """Unique candidate edge for color set g at a 1-based cut, or None."""
-        if not 1 <= cut <= self.n:
-            raise ValueError(f"cut index out of range: {cut}")
-        return self.edge_at[cut].get(g)
-
-    def feasible(self, cut: int) -> list[int]:
-        return list(self.edge_at[cut])
-
     def valid(self, cut: int, gs) -> bool:
         cover = 0
         for g in gs:
@@ -164,34 +147,6 @@ class _Prep:
 
     def weight(self, a: int, b: int) -> float:
         return float(self.t[b] - self.t[a])
-
-
-def _as_mask(g, k: int) -> int:
-    if isinstance(g, int):
-        return g
-    m = 0
-    for c in g:
-        m |= 1 << (int(c) - 1)
-    return m
-
-
-def cut_edges(inst: Instance, i: int, gamma) -> CutEdgeSet | None:
-    """Materialize the unique edge per color set at cut i; None if infeasible."""
-    prep = _Prep(inst)
-    gs = tuple(sorted(_as_mask(g, inst.k) for g in gamma))
-    edges = []
-    for g in gs:
-        e = prep.cut_edge(i, g)
-        if e is None:
-            return None
-        edges.append((g, *e))
-    return CutEdgeSet(i=i, gamma=gs, edges=tuple(edges))
-
-
-def is_valid_cut(inst: Instance, cutset: CutEdgeSet) -> bool:
-    """A cut-edge set is valid iff every color split by the cut is covered."""
-    prep = _Prep(inst)
-    return prep.valid(cutset.i, cutset.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +210,24 @@ class _CutShape:
             self.anchored.append(anchored)
 
 
-def _hat_b(
-    prev_bs: tuple[int, ...],
-    next_bs: tuple[int, ...],
-    next_starts: frozenset[int],
-    rgs: tuple[int, ...],
-    pt: int,
-) -> tuple[int, ...]:
-    """Endpoint-level hat: partition the previous cut's right endpoints."""
-    if len(prev_bs) <= 1:
-        return (0,) * len(prev_bs)
-    parent: dict[int, int] = {}
+def _hat_b(prev_pos: tuple[int, ...], starts: int, rgs: tuple[int, ...]) -> tuple[int, ...]:
+    """Endpoint-level hat: partition the previous cut's right endpoints.
 
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    blocks: dict[int, list[int]] = {}
-    for j, b in enumerate(next_bs):
-        blocks.setdefault(rgs[j], []).append(b)
-    for blk in blocks.values():
-        for b1, b2 in zip(blk, blk[1:]):
-            union(b1, b2)
-    for b in next_starts:
-        union(pt, b)
-    labels = [find(b) for b in prev_bs]
+    The next cut's endpoints are 0..s-1 in blocks ``rgs`` (s = len(rgs)), and
+    p_i is s.  ``prev_pos`` names each previous endpoint among these, and bit
+    j of ``starts`` is set if an edge from p_i reaches next endpoint j.
+    """
+    if len(prev_pos) <= 1:
+        return (0,) * len(prev_pos)
+    size = len(rgs)
+    uf = UnionFind(size + 1)
+    first: dict[int, int] = {}
+    for j, block in enumerate(rgs):
+        uf.union(first.setdefault(block, j), j)
+        if starts >> j & 1:
+            uf.union(size, j)
     remap: dict[int, int] = {}
-    return tuple(remap.setdefault(lb, len(remap)) for lb in labels)
+    return tuple(remap.setdefault(uf.find(p), len(remap)) for p in prev_pos)
 
 
 def _d2_color_ok(rgs: tuple[int, ...], starts: int, anchored: int) -> bool:
@@ -298,7 +236,7 @@ def _d2_color_ok(rgs: tuple[int, ...], starts: int, anchored: int) -> bool:
     return any(anchored >> j & 1 and r in start_classes for j, r in enumerate(rgs))
 
 
-def _dp(prep: _Prep, stats: DpStats | None):
+def _dp(prep: _Prep, stats: DpStats):
     """Minimum cost and the edges of an optimum, by the DP over cuts.
 
     A state at a cut is a gamma-set gs (the crossing color sets) plus one
@@ -321,8 +259,9 @@ def _dp(prep: _Prep, stats: DpStats | None):
             got = partitions[t] = list(set_partitions(t))
         return got
 
-    # hat_maps[(previous endpoints as next positions or -1 for p_i, number of
-    # next endpoints, starts mask, anchored mask or -1 without (d2))]:
+    # hat_maps[(previous endpoints as next positions or the number of next
+    # endpoints for p_i, that number, starts mask, anchored mask or -1
+    # without (d2))]:
     # (id, {hat partition: next partitions}), or None when no partition is left.
     hat_maps: dict[tuple, tuple[int, dict] | None] = {}
 
@@ -330,13 +269,11 @@ def _dp(prep: _Prep, stats: DpStats | None):
         if key in hat_maps:
             return hat_maps[key]
         prev_pos, size, starts, anchored = key
-        ends = tuple(range(size))
-        start_set = frozenset(j for j in ends if starts >> j & 1)
         mp: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for rgs in partitions_of(size):
             if anchored >= 0 and not _d2_color_ok(rgs, starts, anchored):
                 continue
-            mp.setdefault(_hat_b(prev_pos, ends, start_set, rgs, -1), []).append(rgs)
+            mp.setdefault(_hat_b(prev_pos, starts, rgs), []).append(rgs)
         got = hat_maps[key] = (len(hat_maps), mp) if mp else None
         return got
 
@@ -355,20 +292,16 @@ def _dp(prep: _Prep, stats: DpStats | None):
     pulls: dict[tuple[int, ...], dict[int, list[int]]] = {}
 
     def note_stats(states: dict, shapes: dict[tuple[int, ...], _CutShape], count: int) -> None:
-        if stats is None:
-            return
         stats.per_cut_states.append(count)
-        biggest = 1
-        for gs in states:
-            for bs in shapes[gs].bs:
-                biggest = max(biggest, len(partitions_of(len(bs))))
-        stats.per_cut_max_pi_per_color.append(biggest)
+        # the Bell numbers grow with the width, so the widest color has the most
+        width = max((len(bs) for gs in states for bs in shapes[gs].bs), default=0)
+        stats.per_cut_max_pi_per_color.append(len(partitions_of(width)))
 
     # cut 1: every valid cut-edge set with every partition vector costs 0
     states: dict[tuple[int, ...], dict[int, int]] = {}
     shapes: dict[tuple[int, ...], _CutShape] = {}
     count = 0
-    for gs in _subsets(prep.feasible(1)):
+    for gs in _subsets(prep.edge_at[1]):
         if not prep.valid(1, gs):
             continue
         sh = shapes[gs] = _CutShape(prep, 1, gs)
@@ -424,7 +357,7 @@ def _dp(prep: _Prep, stats: DpStats | None):
                 for c in range(k):
                     nb = sh.bs[c]
                     got = hat_map((
-                        tuple(-1 if b == pt else nb.index(b) for b in prev_sh.bs[c]),
+                        tuple(len(nb) if b == pt else nb.index(b) for b in prev_sh.bs[c]),
                         len(nb),
                         sh.starts[c],
                         sh.anchored[c] if need_d2 >> c & 1 else -1,
@@ -492,15 +425,13 @@ def _dp(prep: _Prep, stats: DpStats | None):
 
 def dp_solve(inst: Instance) -> Solution:
     """Exact minimum CSG for a collinear instance in time linear in n."""
-    sol, _ = dp_solve_with_stats(inst, collect_stats=False)
-    return sol
+    return dp_solve_with_stats(inst)[0]
 
 
-def dp_solve_with_stats(
-    inst: Instance, collect_stats: bool = True
-) -> tuple[Solution, DpStats | None]:
+def dp_solve_with_stats(inst: Instance) -> tuple[Solution, DpStats]:
+    """``dp_solve`` plus the per-cut state counts."""
     prep = _Prep(inst)
-    stats = DpStats() if collect_stats else None
+    stats = DpStats()
     cost, local_edges = _dp(prep, stats)
     edges = [(int(prep.order[a]), int(prep.order[b])) for a, b in local_edges]
     sol = make_solution(inst, edges, "dp", ratio_bound=1.0)

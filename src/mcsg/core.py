@@ -425,8 +425,9 @@ def solution_to_json(sol: Solution) -> str:
 
 
 def solution_from_json(source: str | bytes | IO) -> Solution:
-    """Parse the JSON solution format; the cost must be a JSON number and every
-    edge endpoint a JSON integer (FormatError otherwise)."""
+    """Parse the JSON solution format; the algorithm must be a JSON string, the
+    cost a JSON number, the ratio bound null or a JSON number and every edge
+    endpoint a JSON integer (FormatError otherwise)."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -436,16 +437,22 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed solution document: {exc}") from exc
     try:
-        cost, edges = doc["cost"], doc["edges"]
+        algorithm, cost, edges = doc["algorithm"], doc["cost"], doc["edges"]
+        ratio_bound = doc.get("ratio_bound")
+        if type(algorithm) is not str:
+            raise FormatError(f"solution algorithm must be a JSON string, got {algorithm!r}")
         if type(cost) not in (int, float):  # also rejects true and "2"
             raise FormatError(f"solution cost must be a JSON number, got {cost!r}")
+        if ratio_bound is not None and type(ratio_bound) not in (int, float):
+            raise FormatError(f"solution ratio bound must be null or a JSON number, "
+                              f"got {ratio_bound!r}")
         if any(type(p) is not int for e in edges for p in e):  # 0.7 or true would truncate
             raise FormatError("solution edge endpoints must be JSON integers")
         return Solution(
-            algorithm=str(doc["algorithm"]),
+            algorithm=algorithm,
             cost=float(cost),
             edges=as_edges(edges),
-            ratio_bound=None if doc.get("ratio_bound") is None else float(doc["ratio_bound"]),
+            ratio_bound=None if ratio_bound is None else float(ratio_bound),
         )
     except (TypeError, KeyError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise FormatError(f"malformed solution document: {exc}") from exc

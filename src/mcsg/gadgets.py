@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 import numpy as np
 
@@ -92,6 +93,8 @@ def parse_cnf(text: str) -> MonotoneCnf:
             if len(parts) != 4 or parts[1] != "mcnf":
                 raise FormatError(f"bad header: {line!r}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
+            if n_vars < 1:
+                raise FormatError(f"the header needs at least 1 variable: {line!r}")
             continue
         if parts[0] not in "+-":
             raise FormatError(f"clause lines must start with '+' or '-': {line!r}")
@@ -107,6 +110,8 @@ def parse_cnf(text: str) -> MonotoneCnf:
         raise FormatError("missing 'p mcnf' header")
     if n_clauses is not None and n_clauses != len(clauses):
         raise FormatError(f"header announced {n_clauses} clauses, found {len(clauses)}")
+    if not clauses:
+        raise FormatError("the formula needs at least 1 clause")
     cnf = MonotoneCnf(n_vars=n_vars, clauses=tuple(clauses))
     _validate_embedding(cnf)
     return cnf
@@ -181,54 +186,39 @@ class _Walker:
     def cur(self) -> tuple[int, int]:
         return self.pts[-1]
 
-    def v_to(self, y: int) -> "_Walker":
-        x, y0 = self.cur
-        if y == y0:
+    def _step(self, axis: int, along: int, across: int) -> None:
+        p = list(self.cur)
+        p[axis] += along
+        p[1 - axis] += across
+        self.pts.append(tuple(p))
+
+    def _run(self, axis: int, to: int) -> "_Walker":
+        """Run along axis 0 (x) or 1 (y) to coordinate ``to``, first shifting
+        the phase with diagonal adapter pairs."""
+        start = self.cur[axis]
+        if to == start:
             return self
-        sign = 1 if y > y0 else -1
+        sign = 1 if to > start else -1
         combos = _FWD_COMBOS if sign > 0 else _BWD_COMBOS
-        pairs = combos[(y - y0) % 5]
+        pairs = combos[(to - start) % 5]
         if pairs:
             # keep the diagonal points clear of whatever this run starts at
-            cx, cy = self.cur
-            self.pts.append((cx, cy + sign * 10))
+            self._step(axis, sign * 10, 0)
         for pair in pairs:
             half = pair // 2          # 3 for a 6-pair, 4 for an 8-pair
             off = 7 - half            # matching off-axis component (3-4-5)
-            cx, cy = self.cur
-            self.pts.append((cx + off, cy + sign * half))
-            self.pts.append((cx, cy + sign * 2 * half))
-        cx, cy = self.cur
-        rest = y - cy
+            self._step(axis, sign * half, off)
+            self._step(axis, sign * half, -off)
+        rest = to - self.cur[axis]
         if rest % 5 != 0 or (rest != 0 and (rest > 0) != (sign > 0)):
-            raise AssertionError(f"vertical run misaligned: {y0}->{y} via {cy}")
+            raise AssertionError(f"run along axis {axis} misaligned: {start}->{to} "
+                                 f"via {self.cur[axis]}")
         if rest:
-            self.pts.append((cx, y))
+            self._step(axis, rest, 0)
         return self
 
-    def h_to(self, x: int) -> "_Walker":
-        x0, y0 = self.cur
-        if x == x0:
-            return self
-        sign = 1 if x > x0 else -1
-        combos = _FWD_COMBOS if sign > 0 else _BWD_COMBOS
-        pairs = combos[(x - x0) % 5]
-        if pairs:
-            cx, cy = self.cur
-            self.pts.append((cx + sign * 10, cy))
-        for pair in pairs:
-            half = pair // 2
-            off = 7 - half
-            cx, cy = self.cur
-            self.pts.append((cx + sign * half, cy + off))
-            self.pts.append((cx + sign * 2 * half, cy))
-        cx, cy = self.cur
-        rest = x - cx
-        if rest % 5 != 0 or (rest != 0 and (rest > 0) != (sign > 0)):
-            raise AssertionError(f"horizontal run misaligned: {x0}->{x}")
-        if rest:
-            self.pts.append((x, cy))
-        return self
+    h_to = partialmethod(_run, 0)
+    v_to = partialmethod(_run, 1)
 
     def diag(self, dx: int, dy: int) -> "_Walker":
         if sorted((abs(dx), abs(dy))) != [3, 4]:
@@ -495,7 +485,8 @@ class _Plan:
     # -- structural checks --------------------------------------------------
 
     def _anchor_graph(self, color: int):
-        """Vertices/edges/components of one color's chain graph at wire level.
+        """Vertex count, edge count and components (vertex sets, isolated
+        actives included) of one color's chain graph at wire level.
 
         Interior points subdivide segments and change neither the component
         count nor the cycle count, so both are computed on the graph whose
@@ -517,21 +508,10 @@ class _Plan:
             by_col.setdefault(px, []).append(py)
         for line in (*by_row.values(), *by_col.values()):
             line.sort()
+        ids = {p: i for i, p in enumerate(registered)}
+        uf = mst.UnionFind(len(ids))
         verts: set[tuple[int, int]] = set()
         n_edges = 0
-        parent: dict = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
 
         def inside(line: list[int], a: int, b: int) -> list[int]:
             """Entries of a sorted line strictly between a and b, a multiple
@@ -558,31 +538,28 @@ class _Plan:
             for p, q in zip(anchors, anchors[1:]):
                 verts.add(p)
                 verts.add(q)
-                union(p, q)
+                uf.union(ids[p], ids[q])
                 n_edges += 1
-        comps = {find(v) for v in verts}
+        comps: dict[int, set[tuple[int, int]]] = {}
+        for v in verts:
+            comps.setdefault(uf.find(ids[v]), set()).add(v)
         # isolated colored actives (none by construction, but count honestly)
-        for aid, m in enumerate(self.active_mask):
-            if m & color and self.active_xy[aid] not in verts:
-                comps.add(self.active_xy[aid])
-        return len(verts), n_edges, len(comps), parent, find
+        isolated = {self.active_xy[aid] for aid, m in enumerate(self.active_mask)
+                    if m & color and self.active_xy[aid] not in verts}
+        return len(verts), n_edges, [*comps.values(), *({p} for p in isolated)]
 
     def _check_identity(self) -> None:
         total = 0
         for color in (R_BIT, B_BIT, Y_BIT):
-            n_v, n_e, kappa, parent, find = self._anchor_graph(color)
+            n_v, n_e, comps = self._anchor_graph(color)
+            kappa = len(comps)
             mu = n_e - n_v + kappa
             s_active = sum(1 for m in self.active_mask if m & color)
             total += s_active - kappa + mu
             # every chain component must hold an active point, otherwise the
             # forced-edge pruning would keep a long bridge
-            roots_with_active = {
-                find(self.active_xy[aid])
-                for aid, m in enumerate(self.active_mask)
-                if m & color and self.active_xy[aid] in parent
-            }
-            all_roots = {find(v) for v in list(parent)}
-            if len(all_roots - roots_with_active) > 0:
+            actives = {self.active_xy[aid] for aid, m in enumerate(self.active_mask) if m & color}
+            if any(actives.isdisjoint(comp) for comp in comps):
                 raise AssertionError(f"chain component without an active (color {color})")
         if total != 39 * self.r:
             raise AssertionError(

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mcsg import cli, core, oracle
+from mcsg import cli, collinear, core, oracle
 from mcsg.render import RenderStyle, render_svg
 
 
@@ -68,6 +70,34 @@ def test_exit_codes(tmp_path):
         assert run("solve", "--input", str(bad)) == 1
 
 
+def test_collinear_stats_lines_only_when_asked(tmp_path, capsys):
+    inst = core.generate_collinear(12, 3, 0.4, 2)
+    path = tmp_path / "line.json"
+    path.write_text(core.instance_to_json(inst))
+    _, stats = collinear.dp_solve_with_stats(inst)
+    want = [f"cut {i}: states={s} max_partitions_per_color={m}" for i, (s, m) in
+            enumerate(zip(stats.per_cut_states, stats.per_cut_max_pi_per_color), start=1)]
+    assert len(want) == inst.n
+    capsys.readouterr()
+    assert run("collinear", "--input", str(path), "--stats") == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.err.splitlines() == want
+    assert run("collinear", "--input", str(path)) == 0
+    without = capsys.readouterr()
+    assert without.err == ""
+    assert without.out == with_stats.out
+
+
+def test_readme_command_lines_parse():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("mcsg ")]
+    for words in commands:
+        cli._build_parser().parse_args(words[1:])  # raises on an unknown command or flag
+    assert {words[1] for words in commands} == set(cli._COMMANDS)
+
+
 def test_gen_and_bench(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert run("gen", "random", "--n", "5", "--k", "3", "--fraction", "0.4",
@@ -94,6 +124,17 @@ def test_gen_gadget_with_witness(tmp_path, capsys):
     assert meta["r"] == 2 and meta["active_points"] == 26
     wit = core.solution_from_json(wit_out.read_text())
     assert wit.cost == pytest.approx(meta["W"], rel=1e-9)
+
+
+def test_gen_gadget_rejects_formula_without_clauses_or_variables(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    inst_out = tmp_path / "gadget.json"
+    for text in ("p mcnf 3 0\n", "p mcnf -2 0\n"):
+        cnf.write_text(text)
+        capsys.readouterr()
+        assert run("gen", "gadget", "--cnf", str(cnf), "--out", str(inst_out)) == 1, text
+        assert "at least 1" in capsys.readouterr().err, text
+        assert not inst_out.exists(), text
 
 
 def test_gen_gadget_rejects_bad_witness_before_materialising(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mcsg import collinear, core, oracle
-from mcsg.collinear import _hat_b, cut_edges
+from mcsg.collinear import _CutShape, _hat_b, _Prep
 
 
 def line(colored, spacing=None):
@@ -51,20 +51,17 @@ def test_normalize_star_exact_on_disjoint_edges():
 
 
 def test_cut_edges_examples():
-    inst = line([{1}, {2}, {1}])
-    cs = cut_edges(inst, 1, [{1}])
-    assert cs.edges == ((1, 0, 2),)
-    assert cut_edges(inst, 1, [{1, 2}]) is None
-    empty = cut_edges(inst, 1, [])
-    assert empty.edges == ()
+    prep = _Prep(line([{1}, {2}, {1}]))
+    assert prep.edge_at[1] == {0b01: (0, 2)}  # no edge for {1, 2}
+    assert _CutShape(prep, 1, (0b01,)).edges == ((1, 0, 2),)
+    assert _CutShape(prep, 1, ()).edges == ()
 
 
 def test_is_valid_cut_examples():
-    two_r = line([{1}, {1}])
-    assert not collinear.is_valid_cut(two_r, cut_edges(two_r, 1, []))
-    rb = line([{1}, {2}])
-    assert collinear.is_valid_cut(rb, cut_edges(rb, 1, []))
-    assert collinear.is_valid_cut(two_r, cut_edges(two_r, 1, [{1}]))
+    two_r = _Prep(line([{1}, {1}]))
+    assert not two_r.valid(1, ())
+    assert _Prep(line([{1}, {2}])).valid(1, ())
+    assert two_r.valid(1, (0b01,))
 
 
 def test_edge_table_matches_anchor_definition():
@@ -83,24 +80,24 @@ def test_edge_table_matches_anchor_definition():
                 if left and right and masks[left[-1]] & masks[right[0]] == g:
                     want[g] = (left[-1], right[0])
             assert prep.edge_at[cut] == want
-            assert prep.feasible(cut) == sorted(want)
-            assert all(prep.cut_edge(cut, g) == want.get(g) for g in range(1, 1 << k))
+            assert list(prep.edge_at[cut]) == sorted(want)  # the DP's subset order
 
 
-def _ends(cutset, c):
-    """Sorted distinct right endpoints of the cut edges carrying color c."""
-    return tuple(sorted({b for g, _a, b in cutset.edges if g >> (c - 1) & 1}))
-
-
-def _starts(cutset, pt):
-    return frozenset(b for _g, a, b in cutset.edges if a == pt)
+def _hat_args(inst, cut, prev_gs, next_gs, c):
+    """The endpoints of color c at cuts cut - 1 and cut, and the previous
+    endpoints and starts mask that the DP hands to ``_hat_b``."""
+    prep = _Prep(inst)
+    prev, nxt = _CutShape(prep, cut - 1, prev_gs), _CutShape(prep, cut, next_gs)
+    nb = nxt.bs[c - 1]
+    prev_pos = tuple(len(nb) if b == cut - 1 else nb.index(b) for b in prev.bs[c - 1])
+    return prev.bs[c - 1], nb, prev_pos, nxt.starts[c - 1]
 
 
 def test_hat_b_trivial_and_shared_endpoint():
     inst = line([{1}, {1, 2}, {1}, {1, 2}])
-    prev = cut_edges(inst, 1, [{1}])
-    nxt = cut_edges(inst, 2, [{1}])
-    assert _hat_b(_ends(prev, 1), _ends(nxt, 1), _starts(nxt, 1), (0,), 1) == (0,)
+    prev_bs, _, prev_pos, starts = _hat_args(inst, 2, (0b01,), (0b01,), 1)
+    assert prev_bs == (1,)
+    assert _hat_b(prev_pos, starts, (0,)) == (0,)
 
 
 def test_hat_b_two_enders_related():
@@ -108,21 +105,27 @@ def test_hat_b_two_enders_related():
     inst = core.Instance(
         2, [(0, 0, {1}), (1, 0, {2}), (2, 0, {1, 2}), (3, 0, {1}), (4, 0, {2})]
     )
-    prev = cut_edges(inst, 2, [{1}, {2}])
-    assert {e[2] for e in prev.edges} == {2}
-    nxt = cut_edges(inst, 3, [{1}, {2}])
+    assert {b for _g, _a, b in _CutShape(_Prep(inst), 2, (0b01, 0b10)).edges} == {2}
     # single edge per color at the previous cut: trivial partitions
     for c in (1, 2):
-        assert _hat_b(_ends(prev, c), _ends(nxt, c), _starts(nxt, 2), (0,), 2) == (0,)
+        _, _, prev_pos, starts = _hat_args(inst, 3, (0b01, 0b10), (0b01, 0b10), c)
+        assert _hat_b(prev_pos, starts, (0,)) == (0,)
 
 
 def test_hat_b_relates_through_p_i_and_next_blocks():
-    # previous endpoints p_i = 2 and 5; at the next cut an edge from p_i
-    # reaches 3, and 5 is kept: they are related iff 3 and 5 share a block.
-    # Kept endpoints with no p_i edge follow the next cut's blocks alone.
-    assert _hat_b((2, 5), (3, 5), frozenset({3}), (0, 0), 2) == (0, 0)
-    assert _hat_b((2, 5), (3, 5), frozenset({3}), (0, 1), 2) == (0, 1)
-    assert _hat_b((5, 6), (3, 5, 6), frozenset(), (0, 1, 0), 2) == (0, 1)
+    # previous endpoints p_i = 1 and 3; at the next cut an edge from p_i
+    # reaches 2, and 3 is kept: they are related iff 2 and 3 share a block
+    inst = line([{1, 2}, {1}, {1}, {1, 2}])
+    prev_bs, nb, prev_pos, starts = _hat_args(inst, 2, (0b01, 0b11), (0b01, 0b11), 1)
+    assert (prev_bs, nb, prev_pos, starts) == ((1, 3), (2, 3), (2, 1), 0b1)
+    assert _hat_b(prev_pos, starts, (0, 0)) == (0, 0)
+    assert _hat_b(prev_pos, starts, (0, 1)) == (0, 1)
+    # kept endpoints 3 and 4 follow the next cut's blocks: p_i = 1 reaches 2,
+    # which shares a block with 4 but not with 3
+    inst = line([{1, 2, 3}, {1}, {1}, {1, 2}, {1, 3}])
+    prev_bs, nb, prev_pos, starts = _hat_args(inst, 2, (0b011, 0b101), (0b001, 0b011, 0b101), 1)
+    assert (prev_bs, nb, prev_pos, starts) == ((3, 4), (2, 3, 4), (1, 2), 0b1)
+    assert _hat_b(prev_pos, starts, (0, 1, 0)) == (0, 1)
 
 
 def test_dp_examples():

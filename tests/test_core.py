@@ -201,6 +201,13 @@ def test_solution_from_json_rejects_non_integer_endpoints_and_odd_costs():
     for cost in (True, "2", None, [1.0], 10**400):
         with pytest.raises(core.FormatError):
             core.solution_from_json(json.dumps(dict(good, cost=cost)))
+    for algorithm in (5, None, True, ["x"]):
+        with pytest.raises(core.FormatError):
+            core.solution_from_json(json.dumps(dict(good, algorithm=algorithm)))
+    for bound in ("2", True, "abc", [1.0], 10**400):
+        with pytest.raises(core.FormatError):
+            core.solution_from_json(json.dumps(dict(good, ratio_bound=bound)))
+    assert core.solution_from_json(json.dumps(dict(good, ratio_bound=2))).ratio_bound == 2.0
 
 
 def test_save_instance_to_stream():
