@@ -50,20 +50,23 @@ class CandidateBundle:
         return self.graphs[self.chosen]
 
 
-def mst_completion(inst: Instance, members, merged) -> np.ndarray:
+def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = None) -> np.ndarray:
     """Minimum edge set spanning ``members`` given pre-connected blocks.
 
     The blocks of ``merged`` (instance indices; points outside ``members``
     are ignored) count as already connected.  A minimum completion needs
     only EMST edges of the class (see ``mst``), so this is ``mst.kruskal``
-    over ``mst.subset_mst(members)`` with the blocks pre-united; returns the
-    chosen point pairs.
+    over the EMST of ``members`` with the blocks pre-united; returns the
+    chosen point pairs.  ``tree`` is that EMST as ``mst.subset_mst`` gives
+    it, when the caller already has it (from ``mst.class_trees``); it is
+    computed otherwise.
     """
     ids = np.asarray(members, dtype=np.int64).tolist()
     pos = {p: i for i, p in enumerate(ids)}
     blocks = [[pos[p] for p in map(int, block) if p in pos] for block in merged]
-    tree = mst.subset_mst(inst.xy, ids).tolist()
-    kept = mst.kruskal(len(ids), [(pos[a], pos[b]) for a, b in tree], blocks)
+    if tree is None:
+        tree = mst.subset_mst(inst.xy, ids)
+    kept = mst.kruskal(len(ids), [(pos[a], pos[b]) for a, b in tree.tolist()], blocks)
     return as_edges([(ids[a], ids[b]) for a, b in kept])
 
 
@@ -71,9 +74,9 @@ def approx_a1(inst: Instance, config: ApproxConfig | None = None) -> Solution:
     """2-approximation for three colors: exact red-blue pair plus yellow MST."""
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
-    g_rb = solve_pair(project_pair(inst, 1, 2))
-    edges = merge_edges(g_rb.edges, mst.subset_mst(inst.xy, inst.color_class(3)))
-    return make_solution(inst, edges, "a1", ratio_bound=2.0)
+    trees = mst.class_trees(inst, (1, 2, 3))
+    g_rb = solve_pair(project_pair(inst, 1, 2), trees)
+    return make_solution(inst, merge_edges(g_rb.edges, trees[3]), "a1", ratio_bound=2.0)
 
 
 def approx_pairing(inst: Instance, pairing) -> Solution:
@@ -82,12 +85,13 @@ def approx_pairing(inst: Instance, pairing) -> Solution:
     flat = [c for b in blocks for c in b]
     if sorted(flat) != list(range(1, inst.k + 1)) or any(len(b) not in (1, 2) for b in blocks):
         raise ValueError(f"pairing must partition 1..{inst.k} into blocks of size <= 2")
+    trees = mst.class_trees(inst, flat)
     parts = []
     for b in blocks:
         if len(b) == 2:
-            parts.append(solve_pair(project_pair(inst, b[0], b[1])).edges)
+            parts.append(solve_pair(project_pair(inst, b[0], b[1]), trees).edges)
         else:
-            parts.append(mst.subset_mst(inst.xy, inst.color_class(b[0])))
+            parts.append(trees[b[0]])
     return make_solution(inst, merge_edges(*parts), "pairing", ratio_bound=math.ceil(inst.k / 2))
 
 
@@ -98,17 +102,18 @@ def approx_a2_bundle(inst: Instance) -> CandidateBundle:
     """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H."""
     if inst.k != 3:
         raise ValueError("approx_a2 requires k == 3")
+    trees = mst.class_trees(inst, (1, 2, 3))  # one EMST per class for all six candidates
     graphs: list[Solution] = []
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2))
-        edges = merge_edges(pair_sol.edges, mst.subset_mst(inst.xy, inst.color_class(mono)))
+        pair_sol = solve_pair(project_pair(inst, c1, c2), trees)
+        edges = merge_edges(pair_sol.edges, trees[mono])
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
     h_edges = mst.subset_mst(inst.xy, black)
     merged = (frozenset(int(p) for p in black),) if black.size else ()
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged))
-        mono_edges = mst_completion(inst, inst.color_class(mono), merged)
+        pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), trees)
+        mono_edges = mst_completion(inst, inst.color_class(mono), merged, trees[mono])
         edges = merge_edges(h_edges, pair_sol.edges, mono_edges)
         graphs.append(make_solution(inst, edges, f"a2/G{i + 4}", ratio_bound=None))
     chosen = 0

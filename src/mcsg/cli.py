@@ -254,8 +254,9 @@ def _cmd_gen_gadget(args) -> int:
         if not cnf.satisfies(bits):  # also checks that there is one value per variable
             raise FormatError("the witness does not satisfy the formula")
     g = gadgets.build_gadget(cnf)
+    text = instance_to_json(g.instance)  # refuses over the size budget before --out is opened
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(g.instance))
+        fh.write(text)
     print(json.dumps({"r": g.r, "active_points": int(g.active_points.size),
                       "epsilon": g.epsilon, "delta": g.delta, "W": g.W}))
     if bits is not None:

@@ -229,7 +229,9 @@ def first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def merge_edges(*edge_sets) -> np.ndarray:
-    parts = [as_edges(e) for e in edge_sets if len(e)]
+    """Canonical union of edge collections, canonicalised once."""
+    parts = [np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.int64).reshape(-1, 2)
+             for e in edge_sets if len(e)]
     if not parts:
         return _EMPTY_EDGES
     return as_edges(np.concatenate(parts, axis=0))
@@ -247,15 +249,15 @@ def edge_color(inst: Instance, e: Sequence[int]) -> frozenset[int]:
     return colors_of(edge_color_mask(inst, a, b))
 
 
-def edge_lengths(inst: Instance, edges) -> np.ndarray:
-    e = as_edges(edges, inst.n)
+def _cost(inst: Instance, e: np.ndarray) -> float:
+    """Total length of the rows of a canonical edge array."""
     d = inst.xy[e[:, 0]] - inst.xy[e[:, 1]]
-    return np.hypot(d[:, 0], d[:, 1])
+    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
 
 def solution_cost(inst: Instance, edges) -> float:
     """Total Euclidean length of an edge set (0 for the empty set)."""
-    return float(np.sum(edge_lengths(inst, edges)))
+    return _cost(inst, as_edges(edges, inst.n))
 
 
 def is_csg(inst: Instance, edges) -> bool:
@@ -306,7 +308,7 @@ def make_solution(
     inst: Instance, edges, algorithm: str, ratio_bound: float | None = None
 ) -> Solution:
     e = as_edges(edges, inst.n)
-    return Solution(algorithm=algorithm, cost=solution_cost(inst, e), edges=e, ratio_bound=ratio_bound)
+    return Solution(algorithm=algorithm, cost=_cost(inst, e), edges=e, ratio_bound=ratio_bound)
 
 
 def costs_equal(a: float, b: float, rtol: float = COST_RTOL) -> bool:

@@ -123,9 +123,10 @@ def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
 
 
 class _Engine:
-    """Units, block MSTs and both color worlds of one projection."""
+    """Units, block MSTs and both color worlds of one projection; ``trees``
+    maps each color of the pair to its class EMST in the base instance."""
 
-    def __init__(self, proj: PairProjection):
+    def __init__(self, proj: PairProjection, trees: dict[int, np.ndarray]):
         self.proj = proj
         self.pts = proj.base.xy[proj.idx].tolist()
         self.bits = proj.bits.tolist()
@@ -139,7 +140,8 @@ class _Engine:
         )
         self._block_mst: dict[int, tuple[float, list[tuple[int, int]]]] = {}
         self.forced_edges: list[tuple[int, int]] = []
-        self.worlds = (_World(self, 1), _World(self, 2))
+        c1, c2 = proj.pair
+        self.worlds = (_World(self, 1, trees[c1]), _World(self, 2, trees[c2]))
         self.forced_cost = sum(d(a, b) for a, b in self.forced_edges)
 
     def dist(self, a: int, b: int) -> float:
@@ -190,19 +192,21 @@ class _Engine:
 class _World:
     """One color's forced edges and completion links inside the engine.
 
-    The forced edges are the color's completion with the purple points
+    ``class_tree`` is the color class's EMST in base-instance indices.  The
+    forced edges are the color's completion with the purple points
     pre-merged (see ``mst``); the links are the EMST edges that it dropped,
     one fewer than the purple points: with the forced edges and any blocks
     pre-merged, a minimum completion needs no other pair.
     """
 
-    def __init__(self, engine: _Engine, bit: int):
+    def __init__(self, engine: _Engine, bit: int, class_tree: np.ndarray):
         bits, dist = engine.bits, engine.dist
         members = [p for p in range(len(bits)) if bits[p] & bit]
-        local = mst.euclidean_mst(engine.proj.base.xy[engine.proj.idx[members]]).tolist()
-        # EMST edges ascending by (weight, a, b), weighed with the engine's
-        # math.hypot: numpy's hypot can differ from it in the last bit
-        tree = sorted((dist(members[a], members[b]), members[a], members[b]) for a, b in local)
+        # the class tree at projection positions (idx is sorted), ascending by
+        # (weight, a, b) weighed with the engine's math.hypot: numpy's hypot
+        # can differ from it in the last bit
+        local = np.searchsorted(engine.proj.idx, class_tree).tolist()
+        tree = sorted((dist(a, b), a, b) for a, b in local)
         purple = [p for p in members if bits[p] == 3]
         forced = mst.kruskal(len(bits), [(a, b) for _, a, b in tree], [purple])
         forced.sort()  # (a, b) order: forced_cost sums them in this order
@@ -252,18 +256,22 @@ class _World:
         return cost
 
 
-def solve_pair(proj: PairProjection) -> Solution:
+def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None) -> Solution:
     """Minimum-cost CSG of a 2-color projection, exact.
 
     Refuses when the number m of purple units (bichromatic points, those of
     one ``group_merge`` block counted once) exceeds ``M_LIMIT``.  The result
     contains the forced edges of both colors and carries ratio 1.0; edges are
-    reported in base-instance indices.
+    reported in base-instance indices.  ``trees`` maps each color of the pair
+    to its class EMST in ``proj.base`` (``mst.class_trees``) when the caller
+    shares them between solves; they are built here otherwise.
     """
     m = len(_units(proj)[1])
     if m > M_LIMIT:
         raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
-    return _Engine(proj).solve("exact2")
+    if trees is None:
+        trees = mst.class_trees(proj.base, proj.pair)
+    return _Engine(proj, trees).solve("exact2")
 
 
 def spans_projection(proj: PairProjection, edges) -> bool:
@@ -300,7 +308,7 @@ def completion_cost(proj: PairProjection, forest) -> float:
     completion is the minimum one with the groups that f induces on the
     purple points pre-merged; the minimum over all forests is the optimum.
     """
-    engine = _Engine(proj)
+    engine = _Engine(proj, mst.class_trees(proj.base, proj.pair))
     purple = [int(p) for p in proj.purple()]
     unit_of = {p: u for u, unit in enumerate(engine.units) for p in unit}
     parent = list(range(len(engine.units)))

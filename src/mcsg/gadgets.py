@@ -34,13 +34,19 @@ import numpy as np
 
 from . import mst
 from .core import (FormatError, Instance, Solution, as_edges, first_of_runs, make_solution,
-                   merge_edges)
+                   merge_edges, over_budget)
 
 SQRT2 = math.sqrt(2.0)
 
 FIG2_CNF = "p mcnf 5 3\n+ 1 3 5\n- 1 5\n- 2 3 4\n"
 
 MAX_NESTING_DEPTH = 3
+
+# The most chain steps a gadget may materialise.  The point set holds about
+# one point per step, 115,000 r^3 of them; materialising takes about 190
+# bytes per step at its peak (0.6 GB for the 3.2 million steps of r = 3) and
+# compute_w about 2.5 times that.
+MAX_CHAIN_STEPS = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +616,9 @@ class GadgetInstance:
     """A compiled reduction instance plus its decision threshold metadata.
 
     The point set can be very large (chains have spacing epsilon), so it is
-    materialized lazily; counts, W, and the active ids come from the plan.
+    materialized lazily, and refused when the plan has more than
+    ``MAX_CHAIN_STEPS`` chain steps; counts, W, and the active ids come from
+    the plan.
     """
 
     cnf: MonotoneCnf
@@ -638,6 +646,9 @@ class GadgetInstance:
 
     def _materialize(self) -> Instance:
         plan = self._plan
+        if plan.n_chain_edges > MAX_CHAIN_STEPS:
+            raise over_budget("gadget", plan.n_chain_edges, "chain steps", MAX_CHAIN_STEPS,
+                              "gadgets.MAX_CHAIN_STEPS")
         per_wire = [_expand_wire(w) for w in plan.wires]
         active_arr = np.array(plan.active_xy, dtype=np.int64).reshape(-1, 2)
         coords = np.concatenate([active_arr] + per_wire, axis=0)

@@ -82,9 +82,19 @@ def _by_length(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.lexsort((b, a, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
 
+def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs i < j of range(n) in (i, j) order, as ``np.triu_indices(n, 1)``
+    gives them but with a fraction of its per-call overhead."""
+    r = np.arange(n)
+    a, b = np.nonzero(r[:, None] < r)
+    # np.nonzero returns strided views of one (pairs, 2) array; contiguous
+    # copies keep the dense EMST's peak memory at n = 2048 where it was
+    return a.copy(), b.copy()
+
+
 def _dense_mst(xy: np.ndarray) -> np.ndarray:
     n = xy.shape[0]
-    a, b = np.triu_indices(n, k=1)
+    a, b = index_pairs(n)
     return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in _by_length(xy, a, b))))
 
 
@@ -162,6 +172,16 @@ def subset_mst(xy: np.ndarray, members) -> np.ndarray:
     tree = members[euclidean_mst(xy[members])]
     tree.sort(axis=1)
     return tree[_by_length(xy, tree[:, 0], tree[:, 1])]
+
+
+def class_trees(inst: Instance, colors) -> dict[int, np.ndarray]:
+    """``subset_mst`` of the color class of each of ``colors``, by color.
+
+    A solve that needs a class's EMST in several places (pair solves, mono
+    trees, completions) builds the trees once with this and passes them
+    down; they live only as long as that call.
+    """
+    return {c: subset_mst(inst.xy, inst.color_class(c)) for c in colors}
 
 
 # ---------------------------------------------------------------------------

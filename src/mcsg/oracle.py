@@ -27,7 +27,7 @@ from .core import (
     make_solution,
     over_budget,
 )
-from .mst import UnionFind
+from .mst import UnionFind, index_pairs
 
 # The most candidate edges each enumerator accepts: brute_force's
 # branch-and-bound walks up to 2^m subsets of the m candidates, and
@@ -48,7 +48,7 @@ def candidate_edges(inst: Instance, star_restricted: bool = False) -> tuple[np.n
     only meaningful for collinear instances.
     """
     n = inst.n
-    a, b = np.triu_indices(n, k=1)
+    a, b = index_pairs(n)
     shared = inst.masks[a] & inst.masks[b]
     keep = shared != 0
     a, b, shared = a[keep], b[keep], shared[keep]

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mcsg import approx3, core, oracle
+from mcsg import approx3, core, mst, oracle
 
 
 def test_config_ratios():
@@ -157,3 +159,82 @@ def test_mst_completion_matches_brute_reference(seed):
     want = brute_completion(inst, members, merged)
     assert np.array_equal(got, want)
     assert core.solution_cost(inst, got) == pytest.approx(core.solution_cost(inst, want), rel=1e-12)
+
+
+# (n, k, fraction, seed, A1 digest, digest of the six A2 candidates and
+# approx_a2, chosen candidate) of generate_random instances; 27 of them have
+# points carrying all three colors, so G4..G6 complete around a nonempty H
+PINNED_A3 = [
+    (3, 3, 0.5, 0, "e7b0ebd267fb1c97", "30de6fc6206cb06e", 0),
+    (4, 3, 0.9, 1, "46229885a85fdf5d", "7bdf54cf4237194b", 0),
+    (5, 3, 0.5, 2, "a8d330dff4632e5f", "a00cf2cc88752444", 0),
+    (6, 3, 0.9, 3, "5418ee585905f81d", "803f45e5a6234eae", 3),
+    (7, 3, 0.5, 4, "90e071f0735a5c14", "35ac4e7c96ae1380", 2),
+    (8, 3, 0.9, 5, "aa6775e7c694a0ed", "fd2f8d602ea3ffa3", 1),
+    (9, 3, 0.5, 6, "e9e3b717c360f51d", "8ab5c569f7f6bad9", 1),
+    (10, 3, 0.9, 7, "41738941c1356b64", "446913703f1746cf", 3),
+    (11, 3, 0.5, 8, "e84e4248b03f1150", "2f37d03e91e52384", 0),
+    (3, 3, 0.9, 9, "6b84f91ebfb5e06c", "c28b139384f1aac9", 0),
+    (4, 3, 0.5, 10, "9ead2a56b473bc2f", "c947f1ee1bfd9332", 0),
+    (5, 3, 0.9, 11, "8ecf201726c8245a", "83e1e4c4b2dce168", 2),
+    (6, 3, 0.5, 12, "07744f5fb6df0e82", "bffbf37d3474f323", 0),
+    (7, 3, 0.9, 13, "495bd2dce8aa64bb", "2645c4815af6c4d0", 5),
+    (8, 3, 0.5, 14, "3e8f899399c6f876", "0929dec097a864cd", 1),
+    (9, 3, 0.9, 15, "93fa4696378d67a5", "80a02543e6a04f4b", 3),
+    (10, 3, 0.5, 16, "8843c6d88cd2840a", "37677b901ab942c7", 5),
+    (11, 3, 0.9, 17, "50e66872df7b7d8a", "43303e9317f86e4d", 3),
+    (3, 3, 0.5, 18, "3cfea34d5a845061", "e9bac7e2b642b8ce", 0),
+    (4, 3, 0.9, 19, "c01a1af28bcdf5a9", "0058ab7001c4345f", 1),
+    (5, 3, 0.5, 20, "24a6147f40e3468d", "8cc49c3da902ff5a", 0),
+    (6, 3, 0.9, 21, "2d9d021774b25fe1", "c201b57947fc34c6", 2),
+    (7, 3, 0.5, 22, "c5c55d702d591c9f", "58465777c14dfa10", 3),
+    (8, 3, 0.9, 23, "3c35f611ea99757e", "d7b8eae622818e62", 1),
+    (9, 3, 0.5, 24, "8f5c3a2a79f0e3d2", "070083e097f13190", 0),
+    (10, 3, 0.9, 25, "d1d3547af9ffcf6c", "bdf6c05032e8c9b8", 4),
+    (11, 3, 0.5, 26, "d633c4ecd799626e", "664f8231cda0bf79", 1),
+    (3, 3, 0.9, 27, "efb8b8f27e03671b", "7b6e3c43e7f4d648", 0),
+    (4, 3, 0.5, 28, "7fd523da33f75738", "4b104c6cb13414ef", 1),
+    (5, 3, 0.9, 29, "945afc64aeab55ee", "4d05c5980486bea4", 0),
+]
+# (n, k, fraction, seed, digest) of approx_pairing with pairs (1, 2), (3, 4) and (5,)
+PINNED_PAIRING = [
+    (5, 4, 0.6, 100, "b8b94fa6327a60d8"),
+    (6, 5, 0.6, 101, "4c3cdbd96dd7345b"),
+    (7, 4, 0.6, 102, "45a07749771c3186"),
+    (8, 5, 0.6, 103, "6b97bec92ea5a3b9"),
+    (9, 4, 0.6, 104, "ebd63fadb551028d"),
+    (5, 5, 0.6, 105, "5c461387693ca043"),
+    (6, 4, 0.6, 106, "09eb000ff9293a02"),
+    (7, 5, 0.6, 107, "7ebb0419ee9b95f1"),
+    (8, 4, 0.6, 108, "2f695009089777df"),
+    (9, 5, 0.6, 109, "98506a774671d887"),
+]
+
+
+def _digest(*sols) -> str:
+    data = [[s.algorithm, s.cost, s.edges.tolist(), s.ratio_bound] for s in sols]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+def test_approx_outputs_pinned():
+    for n, k, frac, seed, a1, a2, chosen in PINNED_A3:
+        inst = core.generate_random(n, k, frac, seed)
+        bundle = approx3.approx_a2_bundle(inst)
+        assert _digest(approx3.approx_a1(inst)) == a1, seed
+        assert _digest(*bundle.graphs, approx3.approx_a2(inst)) == a2, seed
+        assert bundle.chosen == chosen, seed
+    for n, k, frac, seed, digest in PINNED_PAIRING:
+        inst = core.generate_random(n, k, frac, seed)
+        blocks = [(c,) if c + 1 > k else (c, c + 1) for c in range(1, k + 1, 2)]
+        assert _digest(approx3.approx_pairing(inst, blocks)) == digest, seed
+
+
+def test_a2_builds_one_emst_per_point_set(monkeypatch):
+    # four point sets: the three color classes and H, the points carrying all three
+    inst = core.generate_random(7, 3, 0.9, 3)
+    assert int(np.count_nonzero(inst.masks == 0b111)) == 4
+    calls = []
+    emst = mst.euclidean_mst
+    monkeypatch.setattr(mst, "euclidean_mst", lambda xy: calls.append(len(xy)) or emst(xy))
+    approx3.approx_a2_bundle(inst)
+    assert len(calls) <= 4, calls

@@ -137,6 +137,17 @@ def test_gen_gadget_rejects_formula_without_clauses_or_variables(tmp_path, capsy
         assert not inst_out.exists(), text
 
 
+def test_gen_gadget_refuses_over_size_budget(tmp_path, capsys):
+    # six two-variable clauses, r = 12: 199,432,260 chain steps would take
+    # tens of GB to materialise
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p mcnf 12 6\n" + "".join(f"+ {v} {v + 1}\n" for v in range(1, 12, 2)))
+    inst_out = tmp_path / "gadget.json"
+    assert run("gen", "gadget", "--cnf", str(cnf), "--out", str(inst_out)) == 2
+    assert "needs 199432260 chain steps" in capsys.readouterr().err
+    assert not inst_out.exists()
+
+
 def test_gen_gadget_rejects_bad_witness_before_materialising(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p mcnf 2 1\n+ 1 2\n")

@@ -16,6 +16,16 @@ def test_parse_and_validate():
     assert cnf.clauses[0].positive and not cnf.clauses[1].positive
 
 
+def test_size_budget_refuses_every_materialising_call(monkeypatch):
+    g = gadgets.build_gadget(gadgets.parse_cnf("p mcnf 2 1\n+ 1 2\n"))
+    monkeypatch.setattr(gadgets, "MAX_CHAIN_STEPS", g._plan.n_chain_edges - 1)
+    for call in (lambda: g.instance, g.chain_edges, lambda: gadgets.compute_w(g),
+                 lambda: gadgets.build_witness(g, [True, False])):
+        with pytest.raises(core.RefusalError, match=r"\(gadgets\.MAX_CHAIN_STEPS\)$"):
+            call()
+    assert not g._cache
+
+
 def test_parse_errors():
     with pytest.raises(core.FormatError):
         gadgets.parse_cnf("+ 1 2\n")

@@ -26,6 +26,14 @@ def test_empty_and_singleton():
     assert mst.euclidean_mst([(1.0, 2.0)]).shape == (0, 2)
 
 
+def test_index_pairs_match_triu_indices():
+    for n in range(10):
+        a, b = mst.index_pairs(n)
+        want = np.triu_indices(n, k=1)
+        assert np.array_equal(a, want[0]) and np.array_equal(b, want[1]), n
+        assert a.dtype == want[0].dtype
+
+
 def test_collinear_three_points():
     edges = mst.euclidean_mst([(0, 0), (1, 0), (3, 0)])
     assert edges.tolist() == [[0, 1], [1, 2]]
