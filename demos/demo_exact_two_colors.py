@@ -2,10 +2,11 @@
 
 Builds the classic four-point example (two bichromatic points on the bottom,
 one red and one blue point on top), solves it exactly, and cross-checks the
-result against the brute-force oracle.
+result against the brute-force oracle and against the sum of the per-color
+MSTs, which the purple edge beats.
 """
 
-from mcsg import core, exact2, oracle
+from mcsg import core, exact2, mst, oracle
 
 inst = core.Instance(2, [
     (0, 0, {1, 2}),
@@ -23,11 +24,11 @@ print("oracle optimum: ", sorted(opt.edge_set()), f"cost {opt.cost:.6f}")
 assert abs(sol.cost - opt.cost) <= 1e-9
 
 # the purple edge (0, 1) serves both colors at once, so the optimum costs 3
-# rather than the 4 a per-color decomposition would pay
-print("completion cost with an empty purple forest:",
-      exact2.completion_cost(proj, []))
-print("completion cost with the purple edge chosen:",
-      exact2.completion_cost(proj, [(0, 1)]))
+# rather than the 4 that one MST per color pays
+per_color = sum(core.solution_cost(inst, mst.subset_mst(inst.xy, inst.color_class(c)))
+                for c in (1, 2))
+print(f"sum of the per-color MSTs: {per_color:.6f}, exact optimum: {sol.cost:.6f}")
+assert abs(per_color - 4.0) <= 1e-9 and abs(sol.cost - 3.0) <= 1e-9
 
 for seed in range(30):
     ri = core.generate_random(7, 2, 0.5, seed)

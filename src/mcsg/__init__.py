@@ -14,7 +14,6 @@ from . import approx3, collinear, exact2, gadgets, mst, oracle, render
 from .core import (
     FormatError,
     Instance,
-    Point,
     RefusalError,
     Solution,
     edge_color,
@@ -41,7 +40,6 @@ __all__ = [
     "render",
     "FormatError",
     "Instance",
-    "Point",
     "RefusalError",
     "Solution",
     "edge_color",

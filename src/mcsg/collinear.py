@@ -25,8 +25,8 @@ from math import prod
 
 import numpy as np
 
-from .core import (Instance, RefusalError, Solution, as_edges, is_csg, make_solution, over_budget,
-                   set_partitions)
+from .core import (Instance, RefusalError, Solution, costs_equal, is_csg, make_solution,
+                   over_budget, set_partitions)
 from .mst import UnionFind
 
 # The most colors a line may have: the gamma-sets of a cut range over subsets
@@ -65,39 +65,6 @@ def collinear_order(inst: Instance, tol: float = COLLINEAR_TOL) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# star normal form
-
-
-def normalize_star(inst: Instance, edges) -> np.ndarray:
-    """Subdivide edges until no interior point carries all shared colors.
-
-    Requires the instance points to be sorted along the line (ascending x,
-    ties broken by y).  Total cost and per-color connectivity are preserved;
-    components only coarsen.
-    """
-    order = np.lexsort((inst.xy[:, 1], inst.xy[:, 0]))
-    if not np.array_equal(order, np.arange(inst.n)):
-        raise RefusalError("normalize_star expects points sorted along the line")
-    masks = inst.masks
-    pending = [(int(a), int(b)) for a, b in as_edges(edges, inst.n)]
-    out: set[tuple[int, int]] = set()
-    while pending:
-        a, b = pending.pop()
-        shared = int(masks[a] & masks[b])
-        split_at = -1
-        for r in range(a + 1, b):
-            if (int(masks[r]) & shared) == shared:
-                split_at = r
-                break
-        if split_at < 0:
-            out.add((a, b))
-        else:
-            pending.append((a, split_at))
-            pending.append((split_at, b))
-    return as_edges(out)
-
-
-# ---------------------------------------------------------------------------
 # cut-edge machinery
 
 
@@ -118,7 +85,7 @@ class _Prep:
         # edge_at[cut]: {g: (a, b)} for each color set g, ascending, whose
         # candidate edge at the 1-based cut exists: a is the last point
         # <= cut - 1 carrying all of g, b the first point >= cut, and the two
-        # share exactly g.  Cut n (and the unused slot 0) has no edges.
+        # share exactly g.  Cuts 0 and n have no edges.
         self.edge_at: list[dict[int, tuple[int, int]]] = [{} for _ in range(n + 1)]
         idx = np.arange(n)
         for g in range(1, 1 << self.k):
@@ -248,9 +215,6 @@ def _dp(prep: _Prep, stats: DpStats):
     per state and cut.
     """
     n, k = prep.n, prep.k
-    if n == 1:
-        return 0.0, []
-
     partitions: dict[int, list[tuple[int, ...]]] = {}
 
     def partitions_of(t: int) -> list[tuple[int, ...]]:
@@ -297,30 +261,14 @@ def _dp(prep: _Prep, stats: DpStats):
         width = max((len(bs) for gs in states for bs in shapes[gs].bs), default=0)
         stats.per_cut_max_pi_per_color.append(len(partitions_of(width)))
 
-    # cut 1: every valid cut-edge set with every partition vector costs 0
-    states: dict[tuple[int, ...], dict[int, int]] = {}
-    shapes: dict[tuple[int, ...], _CutShape] = {}
-    count = 0
-    for gs in _subsets(prep.edge_at[1]):
-        if not prep.valid(1, gs):
-            continue
-        sh = shapes[gs] = _CutShape(prep, 1, gs)
-        group = states[gs] = {}
-        opts = [partitions_of(len(bs)) for bs in sh.bs]
-        count_after = count + prod(map(len, opts))
-        if count_after > MAX_STATES_PER_CUT:
-            raise over_budget(f"collinear DP: cut 1 of {n}", count_after, "states",
-                              MAX_STATES_PER_CUT, "collinear.MAX_STATES_PER_CUT",
-                              at_least=True, per="cut")
-        for pk in product(*opts):
-            group[pk_id(pk)] = count
-            count += 1
-    vals = [0.0] * count
-    note_stats(states, shapes, count)
-    # trace[cut - 2]: (parent index per state, dropped-edge id per state, dropped edges)
+    # cut 0 has one state: no cut edges, every color's partition empty
+    shapes = {(): _CutShape(prep, 0, ())}
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {pk_id(((),) * k): 0}}
+    vals = [0.0]
+    # trace[cut - 1]: (parent index per state, dropped-edge id per state, dropped edges)
     trace: list[tuple[array, array, list[tuple[tuple[int, int], ...]]]] = []
 
-    for cut in range(2, n + 1):
+    for cut in range(1, n + 1):
         pt = cut - 1
         pt_mask = int(prep.masks[pt])
         prev_shapes, shapes = shapes, {}
@@ -435,7 +383,7 @@ def dp_solve_with_stats(inst: Instance) -> tuple[Solution, DpStats]:
     cost, local_edges = _dp(prep, stats)
     edges = [(int(prep.order[a]), int(prep.order[b])) for a, b in local_edges]
     sol = make_solution(inst, edges, "dp", ratio_bound=1.0)
-    if abs(sol.cost - cost) > 1e-9 * max(1.0, abs(cost)):
+    if not costs_equal(sol.cost, cost):
         raise RuntimeError("collinear DP cost does not match its edge set")
     if not is_csg(inst, sol.edges):
         raise RuntimeError("collinear DP produced a non-spanning edge set")

@@ -68,21 +68,6 @@ def colors_of(mask: int) -> frozenset[int]:
     return frozenset(c + 1 for c in range(int(mask).bit_length()) if mask >> c & 1)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A planar point with its color membership set."""
-
-    x: float
-    y: float
-    colors: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise FormatError("point coordinates must be finite")
-        if not self.colors:
-            raise FormatError("point color set must be nonempty")
-
-
 # ---------------------------------------------------------------------------
 # instances
 
@@ -97,15 +82,11 @@ class Instance:
 
     __slots__ = ("k", "xy", "masks", "_classes")
 
-    def __init__(self, k: int, points: Iterable[Point | tuple] = ()):
-        pts = []
-        for p in points:
-            if not isinstance(p, Point):
-                x, y, colors = p
-                p = Point(float(x), float(y), frozenset(colors))
-            pts.append(p)
-        xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
-        masks = np.array([mask_of(p.colors, k) for p in pts], dtype=np.uint32)
+    def __init__(self, k: int, points: Iterable[tuple] = ()):
+        """Points as ``(x, y, colors)`` tuples, colors an iterable of 1-based ints."""
+        pts = list(points)
+        xy = np.array([(x, y) for x, y, _ in pts], dtype=np.float64).reshape(-1, 2)
+        masks = np.array([mask_of(colors) for _, _, colors in pts], dtype=np.uint32)
         self._init_arrays(k, xy, masks)
 
     @classmethod
@@ -146,15 +127,6 @@ class Instance:
     @property
     def n(self) -> int:
         return self.xy.shape[0]
-
-    def point(self, i: int) -> Point:
-        return Point(float(self.xy[i, 0]), float(self.xy[i, 1]), colors_of(int(self.masks[i])))
-
-    def points(self) -> list[Point]:
-        return [self.point(i) for i in range(self.n)]
-
-    def color_set(self, i: int) -> frozenset[int]:
-        return colors_of(int(self.masks[i]))
 
     def color_class(self, c: int) -> np.ndarray:
         """Indices of the points carrying color c (cached)."""

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mst
-from .core import Instance, Solution, as_edges, make_solution, over_budget, set_partitions
+from .core import (Instance, Solution, as_edges, is_csg, make_solution, over_budget,
+                   set_partitions)
 
 # The most purple units solve_pair accepts: the search visits up to Bell(m)
 # partitions, 678,570 at m = 11.
@@ -124,13 +125,19 @@ def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
 
 class _Engine:
     """Units, block MSTs and both color worlds of one projection; ``trees``
-    maps each color of the pair to its class EMST in the base instance."""
+    maps each color of the pair to its class EMST in the base instance, and
+    is built here when None.  Refuses more than ``M_LIMIT`` purple units."""
 
-    def __init__(self, proj: PairProjection, trees: dict[int, np.ndarray]):
+    def __init__(self, proj: PairProjection, trees: dict[int, np.ndarray] | None):
+        self.merge_blocks, self.units = _units(proj)
+        m = len(self.units)
+        if m > M_LIMIT:
+            raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
+        if trees is None:
+            trees = mst.class_trees(proj.base, proj.pair)
         self.proj = proj
         self.pts = proj.base.xy[proj.idx].tolist()
         self.bits = proj.bits.tolist()
-        self.merge_blocks, self.units = _units(proj)
         # Cheapest point pair per unit pair, ascending by (weight, a, b).
         d = self.dist
         self.unit_pairs = sorted(
@@ -266,59 +273,22 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
     to its class EMST in ``proj.base`` (``mst.class_trees``) when the caller
     shares them between solves; they are built here otherwise.
     """
-    m = len(_units(proj)[1])
-    if m > M_LIMIT:
-        raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
-    if trees is None:
-        trees = mst.class_trees(proj.base, proj.pair)
     return _Engine(proj, trees).solve("exact2")
 
 
 def spans_projection(proj: PairProjection, edges) -> bool:
     """Connectivity check for a pair solve: both projected colors span,
     with group_merge blocks treated as pre-connected."""
-    pos = {int(g): i for i, g in enumerate(proj.idx)}
-    arr = as_edges(edges, proj.base.n)
-    for which in (0, 1):
-        bit = 1 << which
-        members = [i for i in range(proj.n) if int(proj.bits[i]) & bit]
-        if len(members) <= 1:
-            continue
-        uf = mst.UnionFind(proj.n)
-        for block in proj.group_merge:
-            inside = sorted(pos[int(p)] for p in block if int(p) in pos)
-            for a, b in zip(inside, inside[1:]):
-                uf.union(a, b)
-        for a, b in arr:
-            pa, pb = pos.get(int(a)), pos.get(int(b))
-            if pa is None or pb is None:
-                continue
-            if int(proj.bits[pa]) & bit and int(proj.bits[pb]) & bit:
-                uf.union(pa, pb)
-        root = uf.find(members[0])
-        if any(uf.find(m) != root for m in members[1:]):
-            return False
-    return True
-
-
-def completion_cost(proj: PairProjection, forest) -> float:
-    """Score of one purple forest: w(f) plus forced edges plus both completions.
-
-    ``forest`` holds pairs of positions into ``proj.purple()``.  Each color's
-    completion is the minimum one with the groups that f induces on the
-    purple points pre-merged; the minimum over all forests is the optimum.
-    """
-    engine = _Engine(proj, mst.class_trees(proj.base, proj.pair))
-    purple = [int(p) for p in proj.purple()]
-    unit_of = {p: u for u, unit in enumerate(engine.units) for p in unit}
-    parent = list(range(len(engine.units)))
-    weight = 0.0
-    for u, v in forest:
-        p, q = purple[u], purple[v]
-        weight += engine.dist(p, q)
-        ru, rv = _find(parent, unit_of[p]), _find(parent, unit_of[q])
-        if ru != rv:
-            parent[rv] = ru
-    roots: dict[int, int] = {}
-    code = tuple(roots.setdefault(_find(parent, u), len(roots)) for u in range(len(parent)))
-    return weight + engine.forced_cost + sum(w.complete(code) for w in engine.worlds)
+    if proj.n == 0:
+        return True
+    pos = np.full(proj.base.n, -1, dtype=np.int64)
+    pos[proj.idx] = np.arange(proj.n)
+    local = pos[as_edges(edges, proj.base.n)]
+    chains = [local[(local >= 0).all(axis=1)]]
+    for block in _units(proj)[0]:
+        for bit in (1, 2):
+            # the block's members of each color, chained as _World merges them
+            inside = np.array([p for p in block if proj.bits[p] & bit], dtype=np.int64)
+            chains.append(np.stack([inside[:-1], inside[1:]], axis=1))
+    return is_csg(Instance.from_arrays(2, proj.base.xy[proj.idx], proj.bits),
+                  np.concatenate(chains))

@@ -24,15 +24,6 @@ PALETTE3 = {
 }
 
 
-def _auto_palette(k: int) -> dict[int, str]:
-    masks = list(range(1, 1 << k))
-    out = {}
-    for i, m in enumerate(masks):
-        hue = round(360 * i / len(masks))
-        out[m] = f"hsl({hue},70%,40%)"
-    return out
-
-
 @dataclass(frozen=True)
 class RenderStyle:
     """Display options; the default color map covers every set for k <= 3."""
@@ -47,7 +38,10 @@ class RenderStyle:
             return self.colors[mask]
         if k <= 3:
             return PALETTE3.get(mask, "#888888")
-        return _auto_palette(k).get(mask, "#888888")
+        if not 0 < mask < 1 << k:
+            return "#888888"
+        # the hues spread the 2^k - 1 color sets evenly around the circle
+        return f"hsl({round(360 * (mask - 1) / ((1 << k) - 1))},70%,40%)"
 
 
 def _fmt(x: float) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,18 @@ def test_render_large_k_palette():
     inst = core.generate_random(5, 5, 0.4, 2)
     data = render_svg(inst)
     assert b"hsl(" in data
+    # above three colors every color set gets its own hue; sha256 recorded
+    # when the palette was a table of all 2^k - 1 sets
+    inst = core.generate_random(40, 5, 0.5, 11)
+    data = render_svg(inst, core.make_solution(inst, [(i, i + 1) for i in range(39)], "x"))
+    assert hashlib.sha256(data).hexdigest() == (
+        "7c11ed05a4479928cd7cf04eb575685a7d524ba8a91431d80c87dd3d5b69a33e")
+    # rendering 40 points must not cost in proportion to the 65,535 color sets of k = 16
+    big = core.generate_random(40, 16, 0.5, 11)
+    sol = core.make_solution(big, [(i, i + 1) for i in range(39)], "x")
+    t0 = time.perf_counter()
+    render_svg(big, sol)
+    assert time.perf_counter() - t0 < 0.3
 
 
 def test_prune_output(inst_file, capsys):

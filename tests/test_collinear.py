@@ -17,39 +17,6 @@ def line(colored, spacing=None):
     return core.Instance(max(c for s in colored for c in s), [(x, 0, s) for x, s in zip(xs, colored)])
 
 
-def test_normalize_star_examples():
-    keep = line([{1}, {2}, {1}])
-    assert collinear.normalize_star(keep, [(0, 2)]).tolist() == [[0, 2]]
-    split = line([{1}, {1, 2}, {1}])
-    assert collinear.normalize_star(split, [(0, 2)]).tolist() == [[0, 1], [1, 2]]
-    assert collinear.normalize_star(split, []).shape == (0, 2)
-
-
-def test_normalize_star_preserves_cost_and_csg():
-    # subdividing can merge coincident subedges of an arbitrary edge set, so
-    # in general cost only stays or drops; it is exact when no merge happens
-    # (minimum solutions in particular), and connectivity never degrades
-    for seed in range(20):
-        inst = core.generate_collinear(7, 3, 0.5, seed)
-        rng = np.random.default_rng(seed)
-        pairs = [(a, b) for a in range(7) for b in range(a + 1, 7)
-                 if inst.masks[a] & inst.masks[b]]
-        chosen = [p for p in pairs if rng.random() < 0.6]
-        norm = collinear.normalize_star(inst, chosen)
-        assert core.solution_cost(inst, norm) <= core.solution_cost(inst, chosen) + 1e-9
-        if core.is_csg(inst, chosen):
-            assert core.is_csg(inst, norm)
-
-
-def test_normalize_star_exact_on_disjoint_edges():
-    inst = core.Instance(2, [(0, 0, {1}), (1, 0, {1, 2}), (2, 0, {1}), (3, 0, {2})])
-    norm = collinear.normalize_star(inst, [(0, 2), (1, 3)])
-    assert core.solution_cost(inst, norm) == pytest.approx(
-        core.solution_cost(inst, [(0, 2), (1, 3)]), rel=1e-12
-    )
-    assert norm.tolist() == [[0, 1], [1, 2], [1, 3]]
-
-
 def test_cut_edges_examples():
     prep = _Prep(line([{1}, {2}, {1}]))
     assert prep.edge_at[1] == {0b01: (0, 2)}  # no edge for {1, 2}
@@ -144,7 +111,9 @@ def test_dp_examples():
 
 def test_dp_single_point_and_k_guard(monkeypatch):
     single = core.Instance(3, [(0, 0, {2})])
-    assert collinear.dp_solve(single).cost == 0.0
+    sol, stats = collinear.dp_solve_with_stats(single)
+    assert sol.cost == 0.0 and sol.edges.shape == (0, 2)
+    assert stats.per_cut_states == [1]  # one cut per point, as on every line
     inst = line([{1}, {2}])
     monkeypatch.setattr(collinear, "K_GUARD", 1)
     with pytest.raises(core.RefusalError):
@@ -177,9 +146,9 @@ def test_dp_matches_oracle(seed, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_CANDIDATE_EDGES", 28)  # a line of 8 points has 28 candidates
     opt = oracle.brute_force(inst)
     assert sol.cost == pytest.approx(opt.cost, rel=1e-9)
-    # output satisfies the star property
-    norm = collinear.normalize_star(inst, sol.edges)
-    assert {tuple(e) for e in norm.tolist()} == sol.edge_set()
+    # output is in star normal form: no edge spans a point carrying all its shared colors
+    star, _ = oracle.candidate_edges(inst, star_restricted=True)
+    assert sol.edge_set() <= {tuple(e) for e in star.tolist()}
 
 
 def test_dp_k2_matches_exact2():

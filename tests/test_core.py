@@ -16,7 +16,7 @@ def inst2(points):
 def test_load_single_point():
     inst = core.load_instance('{"k":2,"points":[{"x":0,"y":0,"colors":[1,2]}]}')
     assert inst.n == 1 and inst.k == 2
-    assert inst.color_set(0) == frozenset({1, 2})
+    assert core.colors_of(int(inst.masks[0])) == frozenset({1, 2})
 
 
 def test_load_color_out_of_range():
@@ -162,9 +162,9 @@ def test_solution_cost_order_invariant():
 
 def test_generate_random_contract():
     mono = core.generate_random(5, 3, 0.0, 1)
-    assert all(len(mono.color_set(i)) == 1 for i in range(5))
+    assert all(len(core.colors_of(int(m))) == 1 for m in mono.masks)
     multi = core.generate_random(7, 2, 1.0, 2)
-    assert all(multi.color_set(i) == {1, 2} for i in range(7))
+    assert all(core.colors_of(int(m)) == {1, 2} for m in multi.masks)
     assert core.generate_random(9, 4, 0.5, 3) == core.generate_random(9, 4, 0.5, 3)
     # every color class populated when n >= k
     inst = core.generate_random(6, 6, 0.0, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcsg import collinear, core, exact2, oracle
+from mcsg import collinear, core, exact2, mst, oracle
 
 SQUARE = core.Instance(2, [(0, 0, {1, 2}), (1, 0, {1, 2}), (0, 1, {1}), (1, 1, {2})])
 
@@ -45,14 +45,6 @@ def test_m_limit_refusal(monkeypatch):
         exact2.solve_pair(proj(core.generate_random(6, 2, 1.0, 0)))
 
 
-def test_completion_cost_examples():
-    p = proj(SQUARE)
-    assert exact2.completion_cost(p, []) == pytest.approx(4.0)
-    assert exact2.completion_cost(p, [(0, 1)]) == pytest.approx(3.0)
-    plain = core.Instance(2, [(0, 0, {1}), (1, 0, {1}), (0, 2, {2}), (1, 2, {2})])
-    assert exact2.completion_cost(proj(plain), []) == pytest.approx(2.0)
-
-
 def test_solve_pair_relabel_invariant():
     for n, frac, seed in ((6, 0.6, 21), (20, 0.35, 5)):
         inst = core.generate_random(n, 2, frac, seed)
@@ -73,8 +65,6 @@ def test_matches_oracle(seed):
 
 
 def test_contains_forced_edges():
-    from mcsg import mst
-
     for seed in range(15):
         inst = core.generate_random(6, 2, 0.5, seed)
         sol = exact2.solve_pair(proj(inst))
@@ -118,3 +108,63 @@ def test_skipped_forest_regression():
     sol = exact2.solve_pair(proj(inst))
     assert sol.cost == pytest.approx(4.6401, abs=5e-5)
     assert core.is_csg(inst, sol.edges)
+
+
+def test_units_built_once_per_solve(monkeypatch):
+    calls = []
+    units = exact2._units
+    monkeypatch.setattr(exact2, "_units", lambda p: calls.append(p) or units(p))
+    inst = core.generate_random(7, 3, 0.6, 2)
+    for c1, c2 in ((1, 2), (1, 3), (2, 3)):
+        exact2.solve_pair(exact2.project_pair(inst, c1, c2))
+    assert len(calls) == 3
+
+
+def _spans_by_walk(proj, edges):
+    """The union-find walk spans_projection replaced, kept as its reference."""
+    pos = {int(g): i for i, g in enumerate(proj.idx)}
+    arr = core.as_edges(edges, proj.base.n)
+    for which in (0, 1):
+        bit = 1 << which
+        members = [i for i in range(proj.n) if int(proj.bits[i]) & bit]
+        if len(members) <= 1:
+            continue
+        uf = mst.UnionFind(proj.n)
+        for block in proj.group_merge:
+            inside = sorted(pos[int(p)] for p in block if int(p) in pos)
+            for a, b in zip(inside, inside[1:]):
+                uf.union(a, b)
+        for a, b in arr:
+            pa, pb = pos.get(int(a)), pos.get(int(b))
+            if pa is None or pb is None:
+                continue
+            if int(proj.bits[pa]) & bit and int(proj.bits[pb]) & bit:
+                uf.union(pa, pb)
+        root = uf.find(members[0])
+        if any(uf.find(m) != root for m in members[1:]):
+            return False
+    return True
+
+
+def test_spans_projection_matches_union_find_walk():
+    verdicts = []
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n = 4 + seed % 6
+        inst = core.generate_random(n, 3, 0.4, seed)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for c1, c2 in ((1, 2), (1, 3), (2, 3)):
+            merge = ()
+            if seed % 2:  # a random block of two or three points, any colors
+                merge = (frozenset(rng.choice(n, size=2 + seed % 3 // 2, replace=False).tolist()),)
+            p = exact2.project_pair(inst, c1, c2, merge)
+            edge_sets = [exact2.solve_pair(p).edges, []]
+            edge_sets += [[e for e in pairs if rng.random() < q] for q in (0.2, 0.4, 0.6)]
+            for edges in edge_sets:
+                got = exact2.spans_projection(p, edges)
+                assert got == _spans_by_walk(p, edges), (seed, c1, c2, merge, edges)
+                verdicts.append(got)
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+    # a pair no point carries projects to nothing, which spans
+    lone = core.Instance(3, [(0, 0, {1}), (1, 0, {1})])
+    assert exact2.spans_projection(exact2.project_pair(lone, 2, 3), [])
