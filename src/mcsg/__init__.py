@@ -16,7 +16,6 @@ from .core import (
     Instance,
     RefusalError,
     Solution,
-    edge_color,
     generate_all_black,
     generate_collinear,
     generate_random,
@@ -42,7 +41,6 @@ __all__ = [
     "Instance",
     "RefusalError",
     "Solution",
-    "edge_color",
     "generate_all_black",
     "generate_collinear",
     "generate_random",

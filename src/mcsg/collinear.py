@@ -39,7 +39,7 @@ COLLINEAR_TOL = 1e-9
 # geometry
 
 
-def collinear_order(inst: Instance, tol: float = COLLINEAR_TOL) -> tuple[np.ndarray, np.ndarray]:
+def collinear_order(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Validate collinearity and return (order, projections along the line)."""
     xy = inst.xy
     n = inst.n
@@ -54,7 +54,7 @@ def collinear_order(inst: Instance, tol: float = COLLINEAR_TOL) -> tuple[np.ndar
         raise RefusalError("degenerate point set")
     d = deltas[far] / scale
     cross = np.abs(deltas[:, 0] * d[1] - deltas[:, 1] * d[0])
-    if cross.max() > tol * max(1.0, scale):
+    if cross.max() > COLLINEAR_TOL * max(1.0, scale):
         raise RefusalError("points are not collinear within tolerance")
     t = deltas @ d
     order = np.argsort(t, kind="stable")

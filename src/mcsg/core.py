@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -52,15 +52,30 @@ def over_budget(what: str, need: int, unit: str, limit: int, constant: str, *,
 # color sets
 
 
-def mask_of(colors: Iterable[int], k: int = MAX_COLORS) -> int:
-    """Encode a collection of 1-based colors as a bitmask."""
-    m = 0
-    for c in colors:
-        c = int(c)
-        if not 1 <= c <= k:
-            raise FormatError(f"color out of range: {c} (k={k})")
-        m |= 1 << (c - 1)
-    return m
+def color_masks(color_sets: Iterable[Iterable[int]], k: int = MAX_COLORS) -> list[int]:
+    """Encode each collection of 1-based colors as a bitmask.
+
+    Colors must be Python or numpy integers in 1..k (a bool, 1.5 or 2.0 is
+    refused, not truncated) and no set may be empty; FormatError otherwise.
+    """
+    masks = []
+    for colors in color_sets:
+        m = 0
+        try:
+            for c in colors:
+                if type(c) is not int:
+                    if isinstance(c, bool) or not isinstance(c, np.integer):
+                        raise FormatError(f"color must be an integer, got {c!r}")
+                    c = int(c)
+                if not 1 <= c <= k:
+                    raise FormatError(f"color out of range: {c} (k={k})")
+                m |= 1 << (c - 1)
+        except TypeError:  # not iterable
+            raise FormatError(f"color set must be a collection, got {colors!r}") from None
+        if not m:
+            raise FormatError("empty color set on a point")
+        masks.append(m)
+    return masks
 
 
 def colors_of(mask: int) -> frozenset[int]:
@@ -86,7 +101,7 @@ class Instance:
         """Points as ``(x, y, colors)`` tuples, colors an iterable of 1-based ints."""
         pts = list(points)
         xy = np.array([(x, y) for x, y, _ in pts], dtype=np.float64).reshape(-1, 2)
-        masks = np.array([mask_of(colors) for _, _, colors in pts], dtype=np.uint32)
+        masks = np.array(color_masks([colors for _, _, colors in pts]), dtype=np.uint32)
         self._init_arrays(k, xy, masks)
 
     @classmethod
@@ -209,18 +224,6 @@ def merge_edges(*edge_sets) -> np.ndarray:
     return as_edges(np.concatenate(parts, axis=0))
 
 
-def edge_color_mask(inst: Instance, a: int, b: int) -> int:
-    return int(inst.masks[a] & inst.masks[b])
-
-
-def edge_color(inst: Instance, e: Sequence[int]) -> frozenset[int]:
-    """Shared colors of an edge: the intersection of its endpoint color sets."""
-    a, b = int(e[0]), int(e[1])
-    if a == b or not (0 <= a < inst.n and 0 <= b < inst.n):
-        raise FormatError(f"invalid edge ({a}, {b})")
-    return colors_of(edge_color_mask(inst, a, b))
-
-
 def _cost(inst: Instance, e: np.ndarray) -> float:
     """Total length of the rows of a canonical edge array."""
     d = inst.xy[e[:, 0]] - inst.xy[e[:, 1]]
@@ -283,8 +286,8 @@ def make_solution(
     return Solution(algorithm=algorithm, cost=_cost(inst, e), edges=e, ratio_bound=ratio_bound)
 
 
-def costs_equal(a: float, b: float, rtol: float = COST_RTOL) -> bool:
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+def costs_equal(a: float, b: float) -> bool:
+    return abs(a - b) <= COST_RTOL * max(1.0, abs(a), abs(b))
 
 
 def set_partitions(n: int):
@@ -349,25 +352,15 @@ def load_instance(source: str | bytes | IO) -> Instance:
         raise FormatError(f"k must be an integer in 1..{MAX_COLORS}, got {k!r}")
     if not isinstance(records, list):
         raise FormatError("'points' must be a list of point records")
-    xs, ys, masks = [], [], []
+    xs, ys, color_sets = [], [], []
     try:
         for rec in records:
-            mask = 0
-            for c in rec["colors"]:
-                if type(c) is not int:  # also rejects true/false and 2.0
-                    raise FormatError(f"color must be an integer, got {c!r}")
-                if not 1 <= c <= k:
-                    raise FormatError(f"color out of range: {c} (k={k})")
-                mask |= 1 << (c - 1)
-            if not mask:
-                raise FormatError("empty color set on a point")
+            color_sets.append(rec["colors"])
             xs.append(rec["x"])
             ys.append(rec["y"])
-            masks.append(mask)
-    except FormatError:  # a ValueError, but its message is the better one
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError) as exc:
         raise FormatError(f"malformed point record: {rec!r}") from exc
+    masks = color_masks(color_sets, k)
     odd = {*map(type, xs), *map(type, ys)} - {int, float}  # bool, str, None, ...
     if odd:
         names = ", ".join(sorted(t.__name__ for t in odd))
@@ -436,8 +429,8 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
 # generators
 
 
-def _random_colors(rng: np.random.Generator, k: int, multi: bool, anchor: int | None) -> int:
-    """One random color mask; multichromatic sets have size >= 2."""
+def _random_colors(rng: np.random.Generator, k: int, multi: bool, anchor: int | None) -> list:
+    """One random color set; multichromatic sets have size >= 2."""
     if multi:
         size = int(rng.integers(2, k + 1))
         pool = [c for c in range(1, k + 1) if c != anchor]
@@ -445,10 +438,10 @@ def _random_colors(rng: np.random.Generator, k: int, multi: bool, anchor: int | 
         chosen = list(rng.choice(pool, size=take, replace=False)) if take else []
         if anchor is not None:
             chosen.append(anchor)
-        return mask_of(chosen, k)
+        return chosen
     if anchor is not None:
-        return mask_of([anchor], k)
-    return mask_of([int(rng.integers(1, k + 1))], k)
+        return [anchor]
+    return [int(rng.integers(1, k + 1))]
 
 
 def _assign_colors(rng: np.random.Generator, n: int, k: int, fraction: float) -> np.ndarray:
@@ -466,10 +459,8 @@ def _assign_colors(rng: np.random.Generator, n: int, k: int, fraction: float) ->
         order = rng.permutation(n)
         for c in range(1, k + 1):
             anchor_of[int(order[c - 1])] = c
-    masks = np.zeros(n, dtype=np.uint32)
-    for i in range(n):
-        masks[i] = _random_colors(rng, k, bool(is_multi[i]), anchor_of.get(i))
-    return masks
+    sets = [_random_colors(rng, k, bool(is_multi[i]), anchor_of.get(i)) for i in range(n)]
+    return np.array(color_masks(sets, k), dtype=np.uint32)
 
 
 def generate_random(n: int, k: int, multichromatic_fraction: float, seed: int) -> Instance:
@@ -503,5 +494,5 @@ def generate_all_black(n: int, seed: int) -> Instance:
         raise FormatError("n must be >= 1")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))
-    masks = np.full(n, mask_of([1, 2, 3], 3), dtype=np.uint32)
+    masks = np.full(n, color_masks([(1, 2, 3)], 3)[0], dtype=np.uint32)
     return Instance.from_arrays(3, xy, masks)

@@ -26,7 +26,8 @@ from scipy.spatial import cKDTree
 from .core import Instance, as_edges
 
 # Above this size the dense O(n^2) edge list is replaced by a k-NN candidate
-# graph with exact nearest-pair completion between leftover components.
+# graph with nearest-pair bridges between leftover components, whose tree can
+# cost more than the EMST (see ``_sparse_mst``).
 DENSE_LIMIT = 2048
 
 
@@ -108,11 +109,14 @@ def _knn_candidates(xy: np.ndarray, k: int) -> np.ndarray:
 
 
 def _sparse_mst(xy: np.ndarray) -> np.ndarray:
-    """MST via k-NN candidates plus exact completion of leftover components.
+    """Spanning tree via k-NN candidates plus bridges between leftover components.
 
-    The k-NN graph already contains every locally short MST edge; whenever it
-    leaves several components, the exact nearest pair between the current
-    components is added (Boruvka-style) until the candidate graph spans.
+    The MST of the k-NN graph, after the nearest pair between each leftover
+    component and the rest is added (Boruvka-style) until the candidate graph
+    spans.  This tree is not always the EMST: an EMST edge that is in neither
+    the k-NN graph nor a bridge is missed.  A crafted 2,181-point input costs
+    166.695 against the EMST's 166.234, and 3 of 200 clustered inputs cost up
+    to 0.71 % more.
     """
     n = xy.shape[0]
     cand = _knn_candidates(xy, k=8)
@@ -146,12 +150,13 @@ def _sparse_mst(xy: np.ndarray) -> np.ndarray:
 
 
 def euclidean_mst(xy) -> np.ndarray:
-    """Minimum spanning tree of the complete Euclidean graph on coordinates.
+    """Spanning tree of the complete Euclidean graph on coordinates.
 
     Returns a canonical edge array over positions in the input.  Empty and
-    singleton inputs yield no edges.  For small inputs ties are broken
-    lexicographically by (length, a, b); the large-input path is deterministic
-    for a fixed input but makes no lexicographic tie promise.
+    singleton inputs yield no edges.  Up to ``DENSE_LIMIT`` points the tree is
+    the EMST, ties broken lexicographically by (length, a, b).  Above it the
+    tree comes from ``_sparse_mst``: deterministic for a fixed input, with no
+    lexicographic tie promise, and it can cost more than the EMST.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
@@ -221,13 +226,4 @@ def forced_edges(inst: Instance, c: int) -> ColorForest:
     return ColorForest(
         color=c, points=members, edges=members[kept], components=labels.astype(np.int64)
     )
-
-
-def all_forced_edges(inst: Instance) -> np.ndarray:
-    """Union of the forced edges over every color (instance indices)."""
-    parts = [forced_edges(inst, c).edges for c in range(1, inst.k + 1)]
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return as_edges(())
-    return as_edges(np.concatenate(parts, axis=0))
 

@@ -2,8 +2,7 @@
 
 The oracle enumerates subsets of the candidate edges (pairs with a nonempty
 shared color) with branch-and-bound and is the arbiter for every acceptance
-test.  A second, unpruned enumerator cross-checks the pruning logic on small
-inputs.
+test.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ from .core import (
     make_solution,
     over_budget,
 )
-from .mst import UnionFind, index_pairs
+from .mst import index_pairs
 
-# The most candidate edges each enumerator accepts: brute_force's
-# branch-and-bound walks up to 2^m subsets of the m candidates, and
-# naive_brute_force walks all of them.
+# The most candidate edges brute_force accepts: its branch-and-bound walks
+# up to 2^m subsets of the m candidates.
 MAX_CANDIDATE_EDGES = 22
-NAIVE_MAX_EDGES = 15
 
 
 def _line_order(inst: Instance) -> np.ndarray:
@@ -222,39 +219,6 @@ def brute_force(
     return make_solution(inst, best_edges, "oracle", ratio_bound=1.0)
 
 
-def _spans(n: int, members: set[int], pairs) -> bool:
-    """Whether the pairs with both ends in ``members`` connect all of them."""
-    uf = UnionFind(n)
-    for a, b in pairs:
-        if a in members and b in members:
-            uf.union(a, b)
-    return len({uf.find(p) for p in members}) <= 1
-
-
-def naive_brute_force(inst: Instance, *, star_restricted: bool = False) -> Solution:
-    """Unpruned full-subset enumeration; cross-checks the branch-and-bound."""
-    edges, weights = candidate_edges(inst, star_restricted)
-    m = edges.shape[0]
-    if m > NAIVE_MAX_EDGES:
-        raise over_budget("naive oracle", m, "candidate edges", NAIVE_MAX_EDGES,
-                          "oracle.NAIVE_MAX_EDGES")
-    classes = [set(inst.color_class(c).tolist()) for c in range(1, inst.k + 1)]
-    pairs = [tuple(e) for e in edges.tolist()]
-    best = (math.inf, None)
-    for subset in range(1 << m):
-        chosen = [i for i in range(m) if subset >> i & 1]
-        cost = float(sum(weights[i] for i in chosen))
-        if cost > best[0] or not all(_spans(inst.n, members, [pairs[i] for i in chosen])
-                                     for members in classes):
-            continue
-        key = tuple(sorted(pairs[i] for i in chosen))
-        if cost < best[0] or (cost == best[0] and key < best[1]):
-            best = (cost, key)
-    if best[1] is None:
-        raise RefusalError("no colored spanning graph exists over the candidate edges")
-    return make_solution(inst, best[1], "oracle-naive", ratio_bound=1.0)
-
-
 # ---------------------------------------------------------------------------
 # benchmark harness
 
@@ -284,8 +248,8 @@ class BenchReport:
         vals = [r.ratio for r in self.rows if r.algo == algo]
         return sum(vals) / len(vals) if vals else math.nan
 
-    def violations(self, tol: float = 1e-9) -> list[BenchRow]:
-        return [r for r in self.rows if r.ratio > self.bounds.get(r.algo, math.inf) + tol]
+    def violations(self) -> list[BenchRow]:
+        return [r for r in self.rows if r.ratio > self.bounds.get(r.algo, math.inf) + 1e-9]
 
     def write_csv(self, target: str | IO) -> None:
         fh = open(target, "w", newline="", encoding="utf-8") if isinstance(target, str) else target

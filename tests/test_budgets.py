@@ -12,15 +12,12 @@ from mcsg import cli, collinear, core, exact2, gadgets, oracle
 
 CASES = {
     # constant: (module, input (an instance or a CNF text), its need, solver,
-    #            CLI words before the input file, writing out.json, or None)
+    #            CLI words before the input file, writing out.json)
     "M_LIMIT": (exact2, core.generate_random(5, 2, 1.0, 0), 5,
                 lambda inst: exact2.solve_pair(exact2.project_pair(inst, 1, 2)),
                 ["exact2", "--output", "out.json", "--input"]),
     "MAX_CANDIDATE_EDGES": (oracle, core.generate_random(5, 1, 0.0, 0), 10, oracle.brute_force,
                             ["solve", "--mode", "oracle", "--output", "out.json", "--input"]),
-    # the naive enumerator only cross-checks the oracle and has no command
-    "NAIVE_MAX_EDGES": (oracle, core.generate_random(4, 1, 0.0, 0), 6,
-                        oracle.naive_brute_force, None),
     "K_GUARD": (collinear, core.generate_collinear(6, 3, 0.3, 1), 3,
                 collinear.dp_solve, ["collinear", "--output", "out.json", "--input"]),
     # the r = 2 gadget of one clause on two variables: 917,258 points
@@ -39,10 +36,9 @@ def test_budget_boundary(name, monkeypatch, tmp_path, capsys):
     out = tmp_path / "out.json"
     monkeypatch.setattr(module, name, need)
     solve(inst)
-    if command:
-        assert cli.main([*command, str(path)]) == 0
-        assert out.exists()
-        out.unlink()
+    assert cli.main([*command, str(path)]) == 0
+    assert out.exists()
+    out.unlink()
     monkeypatch.setattr(module, name, need - 1)
     constant = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
     with pytest.raises(core.RefusalError) as refused:
@@ -50,8 +46,7 @@ def test_budget_boundary(name, monkeypatch, tmp_path, capsys):
     assert f"needs {need} " in str(refused.value)
     assert f", 1 over the budget of {need - 1} " in str(refused.value)
     assert str(refused.value).endswith(f"({constant})")
-    if command:
-        capsys.readouterr()
-        assert cli.main([*command, str(path)]) == 2
-        assert f"({constant})" in capsys.readouterr().err
-        assert not out.exists()
+    capsys.readouterr()
+    assert cli.main([*command, str(path)]) == 2
+    assert f"({constant})" in capsys.readouterr().err
+    assert not out.exists()

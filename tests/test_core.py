@@ -65,6 +65,21 @@ def test_load_rejects_bad_documents():
             core.load_instance(doc)
 
 
+def test_tuple_constructor_checks_colors_like_load_instance():
+    # int() would read 1.5, 2.0 and True as colors instead of refusing them
+    for colors in ({1.5}, {True, 2}, {2.0}, {np.bool_(True)}, {"1"}, {None}):
+        with pytest.raises(core.FormatError, match="color must be an integer"):
+            core.Instance(2, [(0, 0, colors), (1, 0, {1})])
+    for colors in (1, None):
+        with pytest.raises(core.FormatError, match="color set must be a collection"):
+            core.Instance(2, [(0, 0, colors)])
+        doc = {"k": 2, "points": [{"x": 0, "y": 0, "colors": colors}]}
+        with pytest.raises(core.FormatError, match="color set must be a collection"):
+            core.load_instance(json.dumps(doc))
+    inst = core.Instance(3, [(0, 0, [np.int64(1), np.uint8(3)]), (1, 0, (2,))])
+    assert inst.masks.tolist() == [5, 2]
+
+
 def test_load_keeps_order_and_duplicate_colors():
     inst = core.load_instance(
         '{"k":3,"points":[{"x":2.5,"y":-1,"colors":[3,1,3]},{"x":1.5,"y":0,"colors":[2]}]}'
@@ -102,14 +117,6 @@ def test_round_trip(seed, n, k):
     inst = core.generate_random(n, k, 0.5 if k >= 2 else 0.0, seed)
     again = core.load_instance(core.instance_to_json(inst))
     assert again == inst
-
-
-def test_edge_color_examples():
-    inst = core.Instance(3, [(0, 0, {1, 2}), (1, 0, {2, 3}), (2, 1, {1}), (3, 0, {3})])
-    assert core.edge_color(inst, (0, 1)) == {2}
-    assert core.edge_color(inst, (2, 3)) == frozenset()
-    all3 = core.Instance(3, [(0, 0, {1, 2, 3}), (1, 0, {1, 2, 3})])
-    assert core.edge_color(all3, (0, 1)) == {1, 2, 3}
 
 
 def test_is_csg_examples():
