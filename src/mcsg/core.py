@@ -216,12 +216,11 @@ def first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def merge_edges(*edge_sets) -> np.ndarray:
-    """Canonical union of edge collections, canonicalised once."""
+    """Edge collections stacked into one int64 (m, 2) array, left for its
+    consumer (``make_solution``, ``is_csg``) to canonicalise once."""
     parts = [np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.int64).reshape(-1, 2)
-             for e in edge_sets if len(e)]
-    if not parts:
-        return _EMPTY_EDGES
-    return as_edges(np.concatenate(parts, axis=0))
+             for e in edge_sets]
+    return np.concatenate(parts) if parts else _EMPTY_EDGES
 
 
 def _cost(inst: Instance, e: np.ndarray) -> float:

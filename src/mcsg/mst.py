@@ -5,6 +5,7 @@ F of any pre-merged blocks added, an MST of G plus F uses only edges of F and
 of MST(G), because every other pair is the longest edge on a cycle of MST(G)
 edges.  So completing a class around already connected blocks is ``kruskal``
 over its EMST edges in (length, a, b) order with the blocks pre-united.
+At every n, the EMST here is the unique MST under that strict order.
 
 The forced edges of color c are one such completion.  A maximal subset of
 MST(S_c) in which no component contains two multichromatic points lies
@@ -20,15 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import Instance, as_edges
 
-# Above this size the dense O(n^2) edge list is replaced by a k-NN candidate
-# graph with nearest-pair bridges between leftover components, whose tree can
-# cost more than the EMST (see ``_sparse_mst``).
-DENSE_LIMIT = 2048
+DENSE_LIMIT = 80  # above it _boruvka_mst, whose tree is the same, beats the dense Kruskal
 
 
 class UnionFind:
@@ -76,11 +74,11 @@ def kruskal(n: int, pairs, blocks=()) -> list[tuple[int, int]]:
     return kept
 
 
-def _by_length(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Indices that sort the pairs (a, b) by (length, a, b).  The length is
-    sqrt(dx*dx + dy*dy), exact on integer ties, which np.hypot breaks by last-bit noise."""
-    d = xy[a] - xy[b]
-    return np.lexsort((b, a, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+def _length(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair lengths sqrt(dx*dx + dy*dy), exact on integer ties where np.hypot is not."""
+    x, y = xy.T  # gathers from 1-D views beat gathering rows of xy
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,74 +87,86 @@ def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     r = np.arange(n)
     a, b = np.nonzero(r[:, None] < r)
     # np.nonzero returns strided views of one (pairs, 2) array; contiguous
-    # copies keep the dense EMST's peak memory at n = 2048 where it was
+    # copies let it go, though at n = DENSE_LIMIT (80) it holds only 50 KB
     return a.copy(), b.copy()
 
 
 def _dense_mst(xy: np.ndarray) -> np.ndarray:
     n = xy.shape[0]
     a, b = index_pairs(n)
-    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in _by_length(xy, a, b))))
+    order = np.lexsort((b, a, _length(xy, a, b)))
+    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in order)))
 
 
-def _knn_candidates(xy: np.ndarray, k: int) -> np.ndarray:
-    tree = cKDTree(xy)
-    k = min(k + 1, xy.shape[0])
-    _, nbr = tree.query(xy, k=k)
-    src = np.repeat(np.arange(xy.shape[0]), k - 1)
-    dst = nbr[:, 1:].reshape(-1)
-    return as_edges(np.stack([src, dst], axis=1))
-
-
-def _sparse_mst(xy: np.ndarray) -> np.ndarray:
-    """Spanning tree via k-NN candidates plus bridges between leftover components.
-
-    The MST of the k-NN graph, after the nearest pair between each leftover
-    component and the rest is added (Boruvka-style) until the candidate graph
-    spans.  This tree is not always the EMST: an EMST edge that is in neither
-    the k-NN graph nor a bridge is missed.  A crafted 2,181-point input costs
-    166.695 against the EMST's 166.234, and 3 of 200 clustered inputs cost up
-    to 0.71 % more.
-    """
+def _boruvka_mst(xy: np.ndarray) -> np.ndarray:
+    """Borůvka on one kd-tree: each round every component takes its least
+    outgoing pair under (length, a, b), so this is ``_dense_mst``'s tree.  The
+    candidates a < b hold, per point p, every foreign point within kd distance
+    ``reach[p]``; a point whose reach falls short of its component's best pair
+    gets one wider k-NN row, then a ball search outside its component."""
     n = xy.shape[0]
-    cand = _knn_candidates(xy, k=8)
-    while True:
-        d = xy[cand[:, 0]] - xy[cand[:, 1]]
-        w = np.hypot(d[:, 0], d[:, 1])
-        g = coo_matrix((w, (cand[:, 0], cand[:, 1])), shape=(n, n))
-        ncomp, labels = connected_components(g, directed=False)
-        if ncomp == 1:
-            mst = minimum_spanning_tree(g.tocsr())
-            rows, cols = mst.nonzero()
-            return as_edges(np.stack([rows, cols], axis=1))
-        bridges = []
-        comp_ids, counts = np.unique(labels, return_counts=True)
-        order = comp_ids[np.argsort(counts, kind="stable")]
-        seen = set()
-        for cid in order:
-            if cid in seen:
-                continue
-            inside = np.flatnonzero(labels == cid)
-            outside = np.flatnonzero(labels != cid)
-            tree = cKDTree(xy[outside])
-            dist, j = tree.query(xy[inside], k=1)
-            best = int(np.argmin(dist))
-            a = int(inside[best])
-            b = int(outside[j[best]])
-            bridges.append((a, b))
-            seen.add(cid)
-            seen.add(int(labels[b]))
-        cand = as_edges(np.concatenate([cand, np.array(bridges, dtype=np.int64)], axis=0))
+    tree, lab, reach, wide = cKDTree(xy), np.arange(n), np.zeros(n), np.zeros(n, dtype=bool)
+    a, b, length, kept = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), []
+
+    def add(i, j):
+        nonlocal a, b, length
+        a, b = np.concatenate([a, np.minimum(i, j)]), np.concatenate([b, np.maximum(i, j)])
+        length = np.concatenate([length, _length(xy, i, j)])
+
+    def rows(pts, k):
+        kd, nbr = tree.query(xy[pts], k=min(k, n))
+        reach[pts] = kd[:, -1] if k < n else np.inf
+        i, j = np.repeat(pts, nbr.shape[1]), nbr.ravel()
+        new = (i < j) | (i > j) & (kd.ravel() * (1 + 1e-9) >= reach[j])  # else j's row holds i
+        add(i[new], j[new])
+
+    rows(np.arange(n), 9)
+    while (ncomp := lab.max() + 1) > 1:
+        ca, cb = lab[a], lab[b]
+        foreign = np.flatnonzero(ca != cb)  # pairs inside a component stay inside
+        a, b, length, ca, cb = a[foreign], b[foreign], length[foreign], ca[foreign], cb[foreign]
+        best = np.full(ncomp, np.inf)
+        np.minimum.at(best, ca, length)
+        np.minimum.at(best, cb, length)
+        loose = reach <= best[lab] * (1 + 1e-9)  # kd distances need not equal _length
+        # a component with no candidate yet: its rows of 48 must leave it if it is smaller
+        fresh = np.flatnonzero(loose & ~wide & ((best[lab] < np.inf) | (np.bincount(lab)[lab] < 48)))
+        if fresh.size:
+            wide[fresh] = True
+            rows(fresh, 48)
+            continue
+        for c in np.unique(lab[loose]):
+            inside, outside = np.flatnonzero(loose & (lab == c)), np.flatnonzero(lab != c)
+            far = cKDTree(xy[outside])
+            r = best[c] if best[c] < np.inf else far.query(xy[inside[::64]])[0].min()  # a bound
+            r = (1 + 2e-9) * min(r, far.query(xy[inside], distance_upper_bound=r * (1 + 2e-9))[0].min())
+            hits = far.query_ball_point(xy[inside], r)  # every foreign point within r
+            add(np.repeat(inside, [len(h) for h in hits]),
+                outside[np.fromiter((q for h in hits for q in h), dtype=np.int64)])
+            reach[inside] = np.maximum(reach[inside], np.nextafter(r, np.inf))
+        if loose.any():
+            continue
+        key, pick = a * n + b, np.full(ncomp, n * n)
+        for own in (ca, cb):
+            tie = length == best[own]
+            np.minimum.at(pick, own[tie], key[tie])
+        kept.append(np.stack(np.divmod(pick, n), axis=1))
+        ids = np.arange(ncomp)
+        to = lab[kept[-1]].sum(axis=1) - ids  # the component each one joins
+        to = np.where((to[to] == ids) & (ids < to), ids, to)  # two that pick each other: one root
+        while (to[to] != to).any():
+            to = to[to]
+        lab = (np.cumsum(to == ids) - 1)[to][lab]
+    return as_edges(np.concatenate(kept))
 
 
 def euclidean_mst(xy) -> np.ndarray:
     """Spanning tree of the complete Euclidean graph on coordinates.
 
     Returns a canonical edge array over positions in the input.  Empty and
-    singleton inputs yield no edges.  Up to ``DENSE_LIMIT`` points the tree is
-    the EMST, ties broken lexicographically by (length, a, b).  Above it the
-    tree comes from ``_sparse_mst``: deterministic for a fixed input, with no
-    lexicographic tie promise, and it can cost more than the EMST.
+    singleton inputs yield no edges.  The tree is the EMST with ties broken
+    lexicographically by (length, a, b), one tree at every n: up to
+    ``DENSE_LIMIT`` points from ``_dense_mst``, above it from ``_boruvka_mst``.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
@@ -164,7 +174,7 @@ def euclidean_mst(xy) -> np.ndarray:
         return as_edges(())
     if n <= DENSE_LIMIT:
         return _dense_mst(xy)
-    return _sparse_mst(xy)
+    return _boruvka_mst(xy)
 
 
 def subset_mst(xy: np.ndarray, members) -> np.ndarray:
@@ -176,7 +186,7 @@ def subset_mst(xy: np.ndarray, members) -> np.ndarray:
     members = np.asarray(members, dtype=np.int64)
     tree = members[euclidean_mst(xy[members])]
     tree.sort(axis=1)
-    return tree[_by_length(xy, tree[:, 0], tree[:, 1])]
+    return tree[np.lexsort((tree[:, 1], tree[:, 0], _length(xy, *tree.T)))]
 
 
 def class_trees(inst: Instance, colors) -> dict[int, np.ndarray]:

@@ -236,7 +236,7 @@ def test_prune_output(inst_file, capsys):
 
 
 # sha256 of `mcsg prune` output on generate_random(4600, 2, 0.01, seed), whose
-# color classes take the sparse EMST path; recorded before the prune loop and
+# color classes are above mst.DENSE_LIMIT; recorded before the prune loop and
 # the JSON reader were vectorised
 PRUNE_DIGESTS = {
     0: "e88a7437702050aed903b2eb7ce6a591147d51e08f82b751978c7e7b25dbfa9b",

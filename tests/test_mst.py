@@ -4,6 +4,9 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import Delaunay
 
 from mcsg import core, mst
 
@@ -67,34 +70,51 @@ def test_matches_spanning_tree_enumeration(seed, n):
     assert cost == pytest.approx(brute_mst_cost(xy))
 
 
-def test_sparse_path_agrees_with_dense():
-    rng = np.random.default_rng(7)
-    xy = rng.random((300, 2))
-    dense = mst.euclidean_mst(xy)
-    old = mst.DENSE_LIMIT
-    mst.DENSE_LIMIT = 10
-    try:
-        sparse = mst.euclidean_mst(xy)
-    finally:
-        mst.DENSE_LIMIT = old
-    dcost = float(np.sum(np.hypot(*(xy[dense[:, 0]] - xy[dense[:, 1]]).T)))
-    scost = float(np.sum(np.hypot(*(xy[sparse[:, 0]] - xy[sparse[:, 1]]).T)))
-    assert scost == pytest.approx(dcost, rel=1e-12)
+def clustered(seed, lo, hi, box):
+    """lo..hi-1 clusters of 10 to 40 points, each 0.3 wide, in a box x box square."""
+    rng = np.random.default_rng(seed)
+    nc = rng.integers(lo, hi)
+    return np.concatenate([rng.random((rng.integers(10, 41), 2)) * 0.3 + rng.random(2) * box
+                           for _ in range(nc)])
 
 
-def test_sparse_path_with_far_cluster():
-    rng = np.random.default_rng(13)
-    xy = np.concatenate([rng.random((150, 2)), rng.random((150, 2)) + 50.0])
-    dense = mst.euclidean_mst(xy)
-    old = mst.DENSE_LIMIT
-    mst.DENSE_LIMIT = 10
-    try:
-        sparse = mst.euclidean_mst(xy)
-    finally:
-        mst.DENSE_LIMIT = old
-    dcost = float(np.sum(np.hypot(*(xy[dense[:, 0]] - xy[dense[:, 1]]).T)))
-    scost = float(np.sum(np.hypot(*(xy[sparse[:, 0]] - xy[sparse[:, 1]]).T)))
-    assert scost == pytest.approx(dcost, rel=1e-12)
+def _exactness_inputs():
+    for seed in range(200):  # the k-NN tree this path replaced over-cost seeds 7, 61 and 161
+        yield clustered(seed, 3, 8, 3)
+    grid = np.stack(np.meshgrid(np.arange(30), np.arange(20)), axis=-1).reshape(-1, 2)
+    yield grid.astype(float)
+    yield grid[np.random.default_rng(1).permutation(len(grid))].astype(float)
+    yield np.stack([np.arange(300.0), np.zeros(300)], axis=1)
+    yield np.stack([np.arange(300.0), 2.0 * np.arange(300.0)], axis=1)
+    yield np.random.default_rng(7).random((300, 2))
+    rng = np.random.default_rng(13)  # two far clusters: the search outside a component runs
+    yield np.concatenate([rng.random((150, 2)), rng.random((150, 2)) + 50.0])
+    for n in range(2, 20):
+        yield np.random.default_rng(n).random((n, 2))
+
+
+def test_boruvka_path_equals_dense(monkeypatch):
+    monkeypatch.setattr(mst, "DENSE_LIMIT", 4)
+    for xy in _exactness_inputs():
+        assert np.array_equal(mst.euclidean_mst(xy), mst._dense_mst(xy)), len(xy)
+
+
+def delaunay_mst_cost(xy):
+    """EMST cost as the MST of the Delaunay graph, which contains every EMST edge."""
+    s = Delaunay(xy).simplices
+    e = np.unique(np.sort(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [0, 2]]]), axis=1), axis=0)
+    w = np.hypot(*(xy[e[:, 0]] - xy[e[:, 1]]).T)
+    return float(minimum_spanning_tree(coo_matrix((w, (e[:, 0], e[:, 1])), shape=(len(xy),) * 2)).sum())
+
+
+@pytest.mark.parametrize("seed", [7, 28, 31, 33])
+def test_large_emst_cost_matches_delaunay_reference(seed):
+    xy = clustered(seed, 80, 140, 30)  # n 2,899-3,198, above DENSE_LIMIT
+    assert len(xy) > mst.DENSE_LIMIT
+    edges = mst.euclidean_mst(xy)
+    assert edges.shape == (len(xy) - 1, 2)
+    cost = float(np.sum(np.hypot(*(xy[edges[:, 0]] - xy[edges[:, 1]]).T)))
+    assert cost == pytest.approx(delaunay_mst_cost(xy), rel=1e-12)
 
 
 def test_forced_edges_drops_longest_between_multichromatic():
