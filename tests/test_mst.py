@@ -86,9 +86,6 @@ def _exactness_inputs():
     yield grid[np.random.default_rng(1).permutation(len(grid))].astype(float)
     yield np.stack([np.arange(300.0), np.zeros(300)], axis=1)
     yield np.stack([np.arange(300.0), 2.0 * np.arange(300.0)], axis=1)
-    yield np.random.default_rng(7).random((300, 2))
-    rng = np.random.default_rng(13)  # two far clusters: the search outside a component runs
-    yield np.concatenate([rng.random((150, 2)), rng.random((150, 2)) + 50.0])
     for n in range(2, 20):
         yield np.random.default_rng(n).random((n, 2))
 
@@ -97,6 +94,19 @@ def test_boruvka_path_equals_dense(monkeypatch):
     monkeypatch.setattr(mst, "DENSE_LIMIT", 4)
     for xy in _exactness_inputs():
         assert np.array_equal(mst.euclidean_mst(xy), mst._dense_mst(xy)), len(xy)
+
+
+def test_sparse_path_agrees_with_dense(monkeypatch):
+    xy = np.random.default_rng(7).random((300, 2))
+    monkeypatch.setattr(mst, "DENSE_LIMIT", 10)
+    assert np.array_equal(mst.euclidean_mst(xy), mst._dense_mst(xy))
+
+
+def test_sparse_path_with_far_cluster(monkeypatch):
+    rng = np.random.default_rng(13)  # two far clusters: the search outside a component runs
+    xy = np.concatenate([rng.random((150, 2)), rng.random((150, 2)) + 50.0])
+    monkeypatch.setattr(mst, "DENSE_LIMIT", 10)
+    assert np.array_equal(mst.euclidean_mst(xy), mst._dense_mst(xy))
 
 
 def delaunay_mst_cost(xy):
