@@ -106,12 +106,6 @@ class _Prep:
         self.seen = seen.tolist()
         self.split = (seen & later).tolist()
 
-    def valid(self, cut: int, gs) -> bool:
-        cover = 0
-        for g in gs:
-            cover |= g
-        return not self.split[cut] & ~cover
-
     def weight(self, a: int, b: int) -> float:
         return float(self.t[b] - self.t[a])
 
@@ -145,36 +139,51 @@ def _subsets(items):
         yield from combinations(items, r)
 
 
-class _CutShape:
-    """Derived structure of one (cut, gamma-set): endpoint groups per color.
+def _endpoint_bits(edges: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """One bit per cut edge: the rank of its right endpoint among the cut's
+    distinct right endpoints, so edges sharing an endpoint share the bit."""
+    rank = {b: j for j, b in enumerate(sorted({b for _a, b in edges.values()}))}
+    return {g: 1 << rank[b] for g, (_a, b) in edges.items()}
 
-    Partitions are stored on the distinct right endpoints of each color's cut
-    edges; edges sharing a right endpoint always attach to the same suffix
-    component, so nothing finer can ever be realized.
+
+def _color_masks(bits: dict[int, int], gs, k: int) -> list[int]:
+    """Per color, the endpoint bits of the edges in ``gs`` that carry it."""
+    masks = [0] * k
+    for g in gs:
+        bit = bits[g]
+        for c in range(k):
+            if g >> c & 1:
+                masks[c] |= bit
+    return masks
+
+
+def _hat_key(key: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
+    """The relative shape of one color's transition from its mask key.
+
+    ``key`` is ``(kept << width | new) << 2 | has_pt << 1 | d2``.  ``kept`` and
+    ``new`` are the color's endpoint bits at the next cut (``_endpoint_bits``)
+    reached by edges from left of p_i and from p_i, ``has_pt`` says a previous
+    edge of the color ends at p_i, and ``d2`` that (d2) applies.  The shape is
+    the previous endpoints (p_i first, then the kept ones) as positions among
+    the next endpoints, with p_i as their number; that number; the starts
+    mask; and the anchored mask, or -1 without (d2).
     """
-
-    __slots__ = ("edges", "bs", "starts", "anchored")
-
-    def __init__(self, prep: _Prep, cut: int, gs: tuple[int, ...]):
-        edge_at = prep.edge_at[cut]
-        self.edges = tuple((g, *edge_at[g]) for g in gs)
-        pt = cut - 1
-        self.bs = []         # per color: sorted distinct right endpoints
-        self.starts = []     # per color: bit j set if an edge from p_i reaches bs[j]
-        self.anchored = []   # per color: bit j set if an edge from left of p_i reaches bs[j]
-        for c in range(prep.k):
-            bit = 1 << c
-            ec = [(a, b) for g, a, b in self.edges if g & bit]
-            bs = sorted({b for _, b in ec})
-            starts = anchored = 0
-            for a, b in ec:
-                if a == pt:
-                    starts |= 1 << bs.index(b)
-                else:
-                    anchored |= 1 << bs.index(b)
-            self.bs.append(tuple(bs))
-            self.starts.append(starts)
-            self.anchored.append(anchored)
+    kept, new = key >> (width + 2), key >> 2 & ((1 << width) - 1)
+    ends = kept | new
+    size = ends.bit_count()
+    prev_pos = [size] if key & 2 else []
+    starts = anchored = 0
+    j = 0
+    while ends:
+        low = ends & -ends
+        if kept & low:
+            prev_pos.append(j)
+            anchored |= 1 << j
+        if new & low:
+            starts |= 1 << j
+        ends ^= low
+        j += 1
+    return tuple(prev_pos), size, starts, anchored if key & 1 else -1
 
 
 def _hat_b(prev_pos: tuple[int, ...], starts: int, rgs: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,15 +215,19 @@ def _d2_color_ok(rgs: tuple[int, ...], starts: int, anchored: int) -> bool:
 def _dp(prep: _Prep, stats: DpStats):
     """Minimum cost and the edges of an optimum, by the DP over cuts.
 
-    A state at a cut is a gamma-set gs (the crossing color sets) plus one
-    partition per color of the cut's right endpoints.  The pull-back of a
-    next-cut partition to the previous cut depends only on the relative shape
-    of the two cuts, so per solve the hat maps are cached by that shape and
-    the previous-partition -> next-partitions products by the maps they
-    combine.  The traceback keeps one parent index and one dropped-edge id
-    per state and cut.
+    A state at a cut is a gamma-set (the crossing color sets, held as a bit
+    mask over them) plus one partition per color of the cut's right
+    endpoints.  The pull-back of a next-cut partition to the previous cut
+    depends only on the relative shape of the two cuts.  Each cut edge gets
+    one endpoint bit, so a color's shape is read from a small int key of
+    endpoint masks (``_hat_key``); per solve the hat maps are cached by that
+    key and by the shape it names, and the previous-partition ->
+    next-partitions products by the maps they combine.  Partitions and
+    partition vectors are handled by int ids.  The traceback keeps one parent
+    index and one dropped-edge id per state and cut.
     """
     n, k = prep.n, prep.k
+    width = (1 << k) - 1  # a cut has at most one edge per color set
     partitions: dict[int, list[tuple[int, ...]]] = {}
 
     def partitions_of(t: int) -> list[tuple[int, ...]]:
@@ -223,29 +236,48 @@ def _dp(prep: _Prep, stats: DpStats):
             got = partitions[t] = list(set_partitions(t))
         return got
 
-    # hat_maps[(previous endpoints as next positions or the number of next
-    # endpoints for p_i, that number, starts mask, anchored mask or -1
-    # without (d2))]:
-    # (id, {hat partition: next partitions}), or None when no partition is left.
-    hat_maps: dict[tuple, tuple[int, dict] | None] = {}
+    # A partition (restricted-growth string) is handled by its id in rgs_ids.
+    rgs_ids: dict[tuple[int, ...], int] = {}
 
-    def hat_map(key: tuple) -> tuple[int, dict] | None:
-        if key in hat_maps:
-            return hat_maps[key]
-        prev_pos, size, starts, anchored = key
-        mp: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for rgs in partitions_of(size):
-            if anchored >= 0 and not _d2_color_ok(rgs, starts, anchored):
-                continue
-            mp.setdefault(_hat_b(prev_pos, starts, rgs), []).append(rgs)
-        got = hat_maps[key] = (len(hat_maps), mp) if mp else None
+    def rgs_id(rgs: tuple[int, ...]) -> int:
+        got = rgs_ids.get(rgs)
+        if got is None:
+            got = rgs_ids[rgs] = len(rgs_ids)
         return got
 
-    # A partition vector (one RGS per color) is handled by its id in pk_list.
-    pk_ids: dict[tuple, int] = {}
-    pk_list: list[tuple] = []
+    # hat_list[id]: {hat partition id: next partition ids}, for one color's
+    # shape from _hat_key, and hat_sizes[id] its number of next endpoints;
+    # hat_ids holds the id by shape and hats by mask key, -1 when no
+    # partition is left.
+    hat_list: list[dict[int, list[int]]] = []
+    hat_sizes: list[int] = []
+    hat_ids: dict[tuple, int] = {}
+    hats: dict[int, int] = {}
 
-    def pk_id(pk: tuple) -> int:
+    def hat_map(key: int) -> int:
+        shape = _hat_key(key, width)
+        got = hat_ids.get(shape)
+        if got is None:
+            prev_pos, size, starts, anchored = shape
+            mp: dict[int, list[int]] = {}
+            for rgs in partitions_of(size):
+                if anchored >= 0 and not _d2_color_ok(rgs, starts, anchored):
+                    continue
+                mp.setdefault(rgs_id(_hat_b(prev_pos, starts, rgs)), []).append(rgs_id(rgs))
+            got = -1
+            if mp:
+                got = len(hat_list)
+                hat_list.append(mp)
+                hat_sizes.append(size)
+            hat_ids[shape] = got
+        hats[key] = got
+        return got
+
+    # A partition vector (one partition id per color) is handled by its id in pk_list.
+    pk_ids: dict[tuple[int, ...], int] = {}
+    pk_list: list[tuple[int, ...]] = []
+
+    def pk_id(pk: tuple[int, ...]) -> int:
         got = pk_ids.get(pk)
         if got is None:
             got = pk_ids[pk] = len(pk_list)
@@ -255,15 +287,9 @@ def _dp(prep: _Prep, stats: DpStats):
     # pulls[map ids per color]: {previous pk id: next pk ids, empty if unreachable}
     pulls: dict[tuple[int, ...], dict[int, list[int]]] = {}
 
-    def note_stats(states: dict, shapes: dict[tuple[int, ...], _CutShape], count: int) -> None:
-        stats.per_cut_states.append(count)
-        # the Bell numbers grow with the width, so the widest color has the most
-        width = max((len(bs) for gs in states for bs in shapes[gs].bs), default=0)
-        stats.per_cut_max_pi_per_color.append(len(partitions_of(width)))
-
     # cut 0 has one state: no cut edges, every color's partition empty
-    shapes = {(): _CutShape(prep, 0, ())}
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {pk_id(((),) * k): 0}}
+    empty = (rgs_id(()),) * k
+    states: dict[int, dict[int, int]] = {0: {pk_id(empty): 0}}
     vals = [0.0]
     # trace[cut - 1]: (parent index per state, dropped-edge id per state, dropped edges)
     trace: list[tuple[array, array, list[tuple[tuple[int, int], ...]]]] = []
@@ -271,58 +297,71 @@ def _dp(prep: _Prep, stats: DpStats):
     for cut in range(1, n + 1):
         pt = cut - 1
         pt_mask = int(prep.masks[pt])
-        prev_shapes, shapes = shapes, {}
-        new_states: dict[tuple[int, ...], dict[int, int]] = {}
+        split = prep.split[cut]
+        prev_edges, cut_edges = prep.edge_at[pt], prep.edge_at[cut]
+        bits = _endpoint_bits(cut_edges)
+        # per subset of the edges from p_i: its gamma-set bits, its color
+        # cover and each color's new-endpoint mask, shifted into the key
+        subs = []
+        for l_sub in _subsets(g for g, (a, _b) in cut_edges.items() if a == pt):
+            sub_gs = cover = 0
+            for g in l_sub:
+                sub_gs |= 1 << g
+                cover |= g
+            subs.append((sub_gs, cover, [m << 2 for m in _color_masks(bits, l_sub, k)]))
+        new_states: dict[int, dict[int, int]] = {}
+        widths: dict[int, int] = {}  # per gamma-set, its widest color's endpoint count
         new_vals: list[float] = []
         new_par: list[int] = []
         new_drop: list[int] = []
         drops: list[tuple[tuple[int, int], ...]] = []
-        l_pool_all = [g for g, (a, _b) in prep.edge_at[cut].items() if a == pt]
         for prev_gs, items in states.items():
-            prev_sh = prev_shapes[prev_gs]
-            keep, d_edges, d_mask, charge = [], [], 0, 0.0
-            for g, a, b in prev_sh.edges:
-                if b == pt:
-                    d_edges.append((a, b))
-                    d_mask |= g
-                    charge += prep.weight(a, b)
-                else:
-                    keep.append(g)
+            keep, d_edges, keep_gs, keep_cover, d_mask, charge = [], [], 0, 0, 0, 0.0
+            for g, (a, b) in prev_edges.items():
+                if prev_gs >> g & 1:
+                    if b == pt:
+                        d_edges.append((a, b))
+                        d_mask |= g
+                        charge += prep.weight(a, b)
+                    else:
+                        keep.append(g)
+                        keep_gs |= 1 << g
+                        keep_cover |= g
             drop_id = len(drops)
             drops.append(tuple(d_edges))
             need_d2 = pt_mask & prep.seen[pt] & ~d_mask
-            l_pool = [g for g in l_pool_all if g not in keep]
-            for l_sub in _subsets(l_pool):
-                next_gs = tuple(sorted(keep + list(l_sub)))
-                if not prep.valid(cut, next_gs):
+            base = [m << (width + 2) | (d_mask >> c & 1) << 1 | (need_d2 >> c & 1)
+                    for c, m in enumerate(_color_masks(bits, keep, k))]
+            for sub_gs, cover, new_keys in subs:
+                if split & ~(keep_cover | cover):
                     continue
-                sh = shapes.get(next_gs)
-                if sh is None:
-                    sh = shapes[next_gs] = _CutShape(prep, cut, next_gs)
                 # Per color, the partition choices grouped by the hat they
                 # induce; (d2) is a per-color filter.
-                maps = []
-                for c in range(k):
-                    nb = sh.bs[c]
-                    got = hat_map((
-                        tuple(len(nb) if b == pt else nb.index(b) for b in prev_sh.bs[c]),
-                        len(nb),
-                        sh.starts[c],
-                        sh.anchored[c] if need_d2 >> c & 1 else -1,
-                    ))
+                ids = []
+                for key in map(int.__or__, base, new_keys):
+                    got = hats.get(key)
                     if got is None:
+                        got = hat_map(key)
+                    if got < 0:
                         break
-                    maps.append(got)
+                    ids.append(got)
                 else:
-                    memo = pulls.setdefault(tuple(i for i, _ in maps), {})
-                    group = new_states.setdefault(next_gs, {})
+                    memo = pulls.setdefault(tuple(ids), {})
+                    next_gs = keep_gs | sub_gs
+                    group = new_states.get(next_gs)
+                    if group is None:
+                        group = new_states[next_gs] = {}
+                        widths[next_gs] = max(map(hat_sizes.__getitem__, ids))
                     for kappa, j in items.items():
                         pks = memo.get(kappa)
                         if pks is None:
-                            prev_pk = pk_list[kappa]
-                            opts = [mp.get(prev_pk[c]) for c, (_, mp) in enumerate(maps)]
-                            if None in opts:
-                                pks = memo[kappa] = []
+                            opts = []
+                            for hat, i in zip(pk_list[kappa], ids):
+                                got = hat_list[i].get(hat)
+                                if got is None:
+                                    pks = memo[kappa] = []
+                                    break
+                                opts.append(got)
                             else:
                                 # the products are distinct states of this cut
                                 size = prod(map(len, opts))
@@ -357,9 +396,11 @@ def _dp(prep: _Prep, stats: DpStats):
             raise RuntimeError("collinear DP ran out of states (internal error)")
         states, vals = new_states, new_vals
         trace.append((array("i", new_par), array("i", new_drop), drops))
-        note_stats(states, shapes, len(vals))
+        stats.per_cut_states.append(len(vals))
+        # the Bell numbers grow with the width, so the widest color has the most
+        stats.per_cut_max_pi_per_color.append(len(partitions_of(max(map(widths.get, states)))))
 
-    final = states.get((), {}).get(pk_ids.get(tuple(() for _ in range(k))))
+    final = states.get(0, {}).get(pk_ids.get(empty))
     if final is None:
         raise RuntimeError("collinear DP missed the terminal state (internal error)")
     cost = vals[final]

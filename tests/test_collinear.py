@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from mcsg import collinear, core, oracle
-from mcsg.collinear import _CutShape, _hat_b, _Prep
+from mcsg.collinear import _color_masks, _endpoint_bits, _hat_b, _hat_key, _Prep
 
 
 def line(colored, spacing=None):
@@ -17,18 +18,49 @@ def line(colored, spacing=None):
     return core.Instance(max(c for s in colored for c in s), [(x, 0, s) for x, s in zip(xs, colored)])
 
 
+class _Shape:
+    """Reference for one (cut, gamma-set): per color, the sorted distinct
+    right endpoints of its cut edges, with bit j of ``starts`` set if an edge
+    from p_i reaches endpoint j and of ``anchored`` if one from left of p_i
+    does.  The DP reads the same from endpoint bit masks."""
+
+    def __init__(self, prep, cut, gs):
+        self.edges = tuple((g, *prep.edge_at[cut][g]) for g in gs)
+        self.bs, self.starts, self.anchored = [], [], []
+        for c in range(prep.k):
+            ec = [(a, b) for g, a, b in self.edges if g >> c & 1]
+            bs = sorted({b for _, b in ec})
+            starts = anchored = 0
+            for a, b in ec:
+                if a == cut - 1:
+                    starts |= 1 << bs.index(b)
+                else:
+                    anchored |= 1 << bs.index(b)
+            self.bs.append(tuple(bs))
+            self.starts.append(starts)
+            self.anchored.append(anchored)
+
+
+def _valid(prep, cut, gs):
+    # a cut-edge set must cover every color found on both sides of the cut
+    cover = 0
+    for g in gs:
+        cover |= g
+    return not prep.split[cut] & ~cover
+
+
 def test_cut_edges_examples():
     prep = _Prep(line([{1}, {2}, {1}]))
     assert prep.edge_at[1] == {0b01: (0, 2)}  # no edge for {1, 2}
-    assert _CutShape(prep, 1, (0b01,)).edges == ((1, 0, 2),)
-    assert _CutShape(prep, 1, ()).edges == ()
+    assert _Shape(prep, 1, (0b01,)).edges == ((1, 0, 2),)
+    assert _Shape(prep, 1, ()).edges == ()
 
 
 def test_is_valid_cut_examples():
     two_r = _Prep(line([{1}, {1}]))
-    assert not two_r.valid(1, ())
-    assert _Prep(line([{1}, {2}])).valid(1, ())
-    assert two_r.valid(1, (0b01,))
+    assert not _valid(two_r, 1, ())
+    assert _valid(_Prep(line([{1}, {2}])), 1, ())
+    assert _valid(two_r, 1, (0b01,))
 
 
 def test_edge_table_matches_anchor_definition():
@@ -54,10 +86,55 @@ def _hat_args(inst, cut, prev_gs, next_gs, c):
     """The endpoints of color c at cuts cut - 1 and cut, and the previous
     endpoints and starts mask that the DP hands to ``_hat_b``."""
     prep = _Prep(inst)
-    prev, nxt = _CutShape(prep, cut - 1, prev_gs), _CutShape(prep, cut, next_gs)
+    prev, nxt = _Shape(prep, cut - 1, prev_gs), _Shape(prep, cut, next_gs)
     nb = nxt.bs[c - 1]
     prev_pos = tuple(len(nb) if b == cut - 1 else nb.index(b) for b in prev.bs[c - 1])
     return prev.bs[c - 1], nb, prev_pos, nxt.starts[c - 1]
+
+
+def _transitions(prep):
+    """Every (cut, previous gamma-set, kept and new color sets) the DP's
+    gamma-set rules allow, partitions aside: a superset of its transitions."""
+    reach = {()}
+    for cut in range(1, prep.n + 1):
+        pt, nxt = cut - 1, set()
+        new = [g for g, (a, _b) in prep.edge_at[cut].items() if a == pt]
+        for prev_gs in sorted(reach):
+            keep = [g for g in prev_gs if prep.edge_at[pt][g][1] != pt]
+            for r in range(len(new) + 1):
+                for l_sub in itertools.combinations(new, r):
+                    if _valid(prep, cut, keep + list(l_sub)):
+                        yield cut, prev_gs, keep, list(l_sub)
+                        nxt.add(tuple(sorted(keep + list(l_sub))))
+        reach = nxt
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_hat_key_matches_endpoint_lists(k):
+    # The DP reads each color's transition shape from endpoint bit masks; the
+    # reference reads it from the sorted endpoint lists of both cuts.
+    width = (1 << k) - 1
+    for seed in range(12):
+        n = (14, 11, 9, 10, 10)[k - 2] - seed % 3
+        prep = _Prep(core.generate_collinear(n, k, (0.2, 0.5, 1.0)[seed % 3], seed))
+        masks = prep.masks.tolist()
+        for cut, prev_gs, keep, l_sub in _transitions(prep):
+            pt = cut - 1
+            prev = _Shape(prep, pt, prev_gs)
+            nxt = _Shape(prep, cut, tuple(sorted(keep + l_sub)))
+            d_mask = 0
+            for g, _a, b in prev.edges:
+                if b == pt:
+                    d_mask |= g
+            need_d2 = masks[pt] & prep.seen[pt] & ~d_mask
+            bits = _endpoint_bits(prep.edge_at[cut])
+            kept, new = _color_masks(bits, keep, k), _color_masks(bits, l_sub, k)
+            for c in range(k):
+                nb = nxt.bs[c]
+                want = (tuple(len(nb) if b == pt else nb.index(b) for b in prev.bs[c]),
+                        len(nb), nxt.starts[c], nxt.anchored[c] if need_d2 >> c & 1 else -1)
+                key = (kept[c] << width | new[c]) << 2 | (d_mask >> c & 1) << 1 | need_d2 >> c & 1
+                assert _hat_key(key, width) == want, (seed, cut, prev_gs, keep, l_sub, c)
 
 
 def test_hat_b_trivial_and_shared_endpoint():
@@ -72,7 +149,7 @@ def test_hat_b_two_enders_related():
     inst = core.Instance(
         2, [(0, 0, {1}), (1, 0, {2}), (2, 0, {1, 2}), (3, 0, {1}), (4, 0, {2})]
     )
-    assert {b for _g, _a, b in _CutShape(_Prep(inst), 2, (0b01, 0b10)).edges} == {2}
+    assert {b for _g, _a, b in _Shape(_Prep(inst), 2, (0b01, 0b10)).edges} == {2}
     # single edge per color at the previous cut: trivial partitions
     for c in (1, 2):
         _, _, prev_pos, starts = _hat_args(inst, 3, (0b01, 0b10), (0b01, 0b10), c)
@@ -136,11 +213,15 @@ def test_dp_accepts_any_line_and_original_indices():
     assert sol.cost == pytest.approx(opt.cost, rel=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(100))
+@pytest.mark.parametrize("seed", range(140))
 def test_dp_matches_oracle(seed, monkeypatch):
     # seeds 60..99: k = 4, where edges sharing several colors make the most
-    # distinct transition shapes
-    k, n = (4, 3 + seed % 5) if seed >= 60 else (2 + seed % 2, 3 + seed % 6)
+    # distinct transition shapes; seeds 100..139: k = 5 and 6, up to
+    # collinear.K_GUARD, where the endpoint masks are widest
+    if seed >= 100:
+        k, n = 5 + (seed >= 120), 3 + seed % 5
+    else:
+        k, n = (4, 3 + seed % 5) if seed >= 60 else (2 + seed % 2, 3 + seed % 6)
     inst = core.generate_collinear(n, k, (0.2, 0.5, 1.0)[seed % 3], seed)
     sol = collinear.dp_solve(inst)
     monkeypatch.setattr(oracle, "MAX_CANDIDATE_EDGES", 28)  # a line of 8 points has 28 candidates
@@ -200,14 +281,54 @@ PINNED = [
 ]
 
 
+# per-cut DP stats of the PINNED lines, recorded before the DP read its hat
+# maps from endpoint masks: total states, peak states, the most partitions of
+# one color at a cut, and a digest of (per_cut_states, per_cut_max_pi_per_color)
+PINNED_STATS = [
+    (534, 69, 5, "2af7c122a450319d"),
+    (1797, 468, 5, "75cb32e3111026e8"),
+    (7046, 1086, 5, "9ebca3ff35b0141a"),
+    (2823, 468, 5, "0f45b38f5417f61e"),
+    (2604, 468, 5, "222913b4300d5dc0"),
+    (4472, 1034, 5, "e83f299ee03f6888"),
+    (738, 69, 5, "f8e0932d1daefad9"),
+    (3878, 1086, 5, "307cfb8c1786168e"),
+    (3186, 342, 5, "5b3cfb960a5026cf"),
+    (475, 69, 5, "80d7126a4c700de6"),
+    (5025, 1034, 5, "b2819c4016bf35f3"),
+    (1292, 342, 5, "e119964d03e77243"),
+    (324, 82, 5, "5d9f4ab931bca9de"),
+    (43, 16, 2, "d06eae13bd663f09"),
+    (67, 18, 2, "bd2f216b10485ec0"),
+    (121, 10, 2, "00abf3156d6e7351"),
+    (51, 10, 2, "10d777fa5fdd1331"),
+    (150, 10, 2, "7a43abc7e47b22c9"),
+    (112, 10, 2, "ca2fb20e980a9619"),
+    (172, 10, 2, "c449e5cd5d3c60bf"),
+]
+
+
 def _digest(edges) -> str:
-    return hashlib.sha256(json.dumps(edges.tolist()).encode()).hexdigest()[:16]
+    return _json_digest(edges.tolist())
+
+
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
 
 
 def test_dp_outputs_pinned():
     for n, k, frac, seed, cost, digest in PINNED:
         sol = collinear.dp_solve(core.generate_collinear(n, k, frac, seed))
         assert (sol.cost, _digest(sol.edges)) == (cost, digest), (n, k, frac, seed)
+
+
+def test_dp_stats_pinned():
+    # perfbench reads these counts; the other tests check only their bounds
+    for (n, k, frac, seed, _, _), want in zip(PINNED, PINNED_STATS, strict=True):
+        _, stats = collinear.dp_solve_with_stats(core.generate_collinear(n, k, frac, seed))
+        got = (stats.total_states, max(stats.per_cut_states), max(stats.per_cut_max_pi_per_color),
+               _json_digest([stats.per_cut_states, stats.per_cut_max_pi_per_color]))
+        assert got == want, (n, k, frac, seed)
 
 
 def test_state_budget_boundary(monkeypatch):
