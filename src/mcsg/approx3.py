@@ -70,13 +70,20 @@ def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = No
     return as_edges([(ids[a], ids[b]) for a, b in kept])
 
 
+def _pair_plus_trees(inst: Instance, blocks, trees: dict[int, np.ndarray]) -> np.ndarray:
+    """The merged edges of an exact ``solve_pair`` per two-color block and the
+    class tree (from ``trees``) per one-color block."""
+    return merge_edges(*(solve_pair(project_pair(inst, *b), trees).edges if len(b) == 2
+                         else trees[b[0]] for b in blocks))
+
+
 def approx_a1(inst: Instance, config: ApproxConfig | None = None) -> Solution:
-    """2-approximation for three colors: exact red-blue pair plus yellow MST."""
+    """2-approximation for three colors: exact red-blue pair plus yellow MST,
+    the k = 3 case of ``approx_pairing``."""
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
-    trees = mst.class_trees(inst, (1, 2, 3))
-    g_rb = solve_pair(project_pair(inst, 1, 2), trees)
-    return make_solution(inst, merge_edges(g_rb.edges, trees[3]), "a1", ratio_bound=2.0)
+    edges = _pair_plus_trees(inst, ((1, 2), (3,)), mst.class_trees(inst, (1, 2, 3)))
+    return make_solution(inst, edges, "a1", ratio_bound=2.0)
 
 
 def approx_pairing(inst: Instance, pairing) -> Solution:
@@ -85,14 +92,8 @@ def approx_pairing(inst: Instance, pairing) -> Solution:
     flat = [c for b in blocks for c in b]
     if sorted(flat) != list(range(1, inst.k + 1)) or any(len(b) not in (1, 2) for b in blocks):
         raise ValueError(f"pairing must partition 1..{inst.k} into blocks of size <= 2")
-    trees = mst.class_trees(inst, flat)
-    parts = []
-    for b in blocks:
-        if len(b) == 2:
-            parts.append(solve_pair(project_pair(inst, b[0], b[1]), trees).edges)
-        else:
-            parts.append(trees[b[0]])
-    return make_solution(inst, merge_edges(*parts), "pairing", ratio_bound=math.ceil(inst.k / 2))
+    edges = _pair_plus_trees(inst, blocks, mst.class_trees(inst, flat))
+    return make_solution(inst, edges, "pairing", ratio_bound=math.ceil(inst.k / 2))
 
 
 _A2_SPLITS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
@@ -105,8 +106,7 @@ def approx_a2_bundle(inst: Instance) -> CandidateBundle:
     trees = mst.class_trees(inst, (1, 2, 3))  # one EMST per class for all six candidates
     graphs: list[Solution] = []
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2), trees)
-        edges = merge_edges(pair_sol.edges, trees[mono])
+        edges = _pair_plus_trees(inst, ((c1, c2), (mono,)), trees)
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
     h_edges = mst.subset_mst(inst.xy, black)

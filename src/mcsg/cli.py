@@ -32,7 +32,7 @@ from .core import (
     solution_from_json,
     solution_to_json,
 )
-from .render import RenderStyle, render_svg
+from .render import render_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_INVARIANT = 0, 1, 2, 3
 
@@ -60,18 +60,19 @@ def _is_collinear(inst: Instance) -> bool:
         return False
 
 
-def solve_dispatch(inst: Instance, mode: str = "auto", *, rho: float = 1.21) -> Solution:
+def solve_dispatch(inst: Instance, mode: str = "auto") -> Solution:
     """Pick a solver: exact for k <= 2, DP for collinear inputs, A2 for k = 3,
-    the pairing approximation otherwise."""
+    the pairing approximation otherwise and on a line the DP refuses."""
     if mode == "auto":
-        if inst.k <= 2:
-            mode = "exact2"
-        elif _is_collinear(inst) and inst.k <= collinear.K_GUARD:
-            mode = "dp"
-        elif inst.k == 3:
-            mode = "a2"
-        else:
-            mode = "pairing"
+        mode = "exact2" if inst.k <= 2 else "a2" if inst.k == 3 else "pairing"
+        if 3 <= inst.k <= collinear.K_GUARD and _is_collinear(inst):
+            try:
+                return collinear.dp_solve(inst)
+            except RefusalError as dp_refusal:  # over its state budget: approximate instead
+                try:
+                    return solve_dispatch(inst, mode)
+                except RefusalError as exc:  # name both budgets that ran out
+                    raise RefusalError(f"{dp_refusal}; {mode}: {exc}") from exc
     if mode == "exact2":
         if inst.k == 1:
             edges = mst.subset_mst(inst.xy, inst.color_class(1))
@@ -82,9 +83,9 @@ def solve_dispatch(inst: Instance, mode: str = "auto", *, rho: float = 1.21) -> 
     if mode == "dp":
         return collinear.dp_solve(inst)
     if mode == "a1":
-        return approx3.approx_a1(inst, config=approx3.ApproxConfig(rho))
+        return approx3.approx_a1(inst)
     if mode == "a2":
-        return approx3.approx_a2(inst, config=approx3.ApproxConfig(rho))
+        return approx3.approx_a2(inst)
     if mode == "pairing":
         blocks = [(c,) if c + 1 > inst.k else (c, c + 1) for c in range(1, inst.k + 1, 2)]
         return approx3.approx_pairing(inst, blocks)
@@ -100,7 +101,7 @@ def _emit_solution(inst: Instance, sol: Solution, output: str | None,
     _write(solution_to_json(sol), output)
     if svg:
         with open(svg, "wb") as fh:
-            fh.write(render_svg(inst, sol, RenderStyle()))
+            fh.write(render_svg(inst, sol))
 
 
 def _write(text: str, output: str | None) -> None:
@@ -125,7 +126,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--output")
     sp.add_argument("--mode", default="auto",
                     choices=["auto", "exact2", "a1", "a2", "dp", "pairing", "oracle"])
-    sp.add_argument("--rho", type=float, default=1.21)
     sp.add_argument("--svg", help="also write a rendering of the solution")
 
     sp = sub.add_parser("exact2", help="exact solver for one color pair")
@@ -166,7 +166,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--k", type=int, default=3)
     sp.add_argument("--fraction", type=float, default=0.5)
-    sp.add_argument("--rho", type=float, default=1.21)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("render", help="draw an instance (and solution) as SVG")
@@ -178,7 +177,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.input)
-    sol = solve_dispatch(inst, args.mode, rho=args.rho)
+    sol = solve_dispatch(inst, args.mode)
     _emit_solution(inst, sol, args.output, args.svg)
     return EXIT_OK
 
@@ -276,7 +275,6 @@ def _cmd_bench(args) -> int:
         n_max=args.n_max,
         k=args.k,
         fraction=args.fraction,
-        rho=args.rho,
     )
     report.write_csv(args.out)
     for algo in sorted({r.algo for r in report.rows}):
@@ -295,7 +293,7 @@ def _cmd_render(args) -> int:
     if args.solution:
         with open(args.solution, "r", encoding="utf-8") as fh:
             sol = solution_from_json(fh)
-    data = render_svg(inst, sol, RenderStyle())
+    data = render_svg(inst, sol)
     with open(args.output, "wb") as fh:
         fh.write(data)
     return EXIT_OK

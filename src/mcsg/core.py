@@ -392,8 +392,8 @@ def solution_to_json(sol: Solution) -> str:
 
 def solution_from_json(source: str | bytes | IO) -> Solution:
     """Parse the JSON solution format; the algorithm must be a JSON string, the
-    cost a JSON number, the ratio bound null or a JSON number and every edge
-    endpoint a JSON integer (FormatError otherwise)."""
+    cost a JSON number, the ratio bound null or a JSON number and the edges a
+    list of lists of two JSON integers each (FormatError otherwise)."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -412,8 +412,10 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
         if ratio_bound is not None and type(ratio_bound) not in (int, float):
             raise FormatError(f"solution ratio bound must be null or a JSON number, "
                               f"got {ratio_bound!r}")
-        if any(type(p) is not int for e in edges for p in e):  # 0.7 or true would truncate
-            raise FormatError("solution edge endpoints must be JSON integers")
+        if type(edges) is not list or any(  # 0.7 or true would truncate
+                type(e) is not list or len(e) != 2 or any(type(p) is not int for p in e)
+                for e in edges):
+            raise FormatError("solution edges must be pairs of JSON integers")
         return Solution(
             algorithm=algorithm,
             cost=float(cost),

@@ -15,7 +15,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from . import approx3, exact2
 from .core import (
+    FormatError,
     Instance,
     RefusalError,
     Solution,
@@ -264,7 +266,7 @@ class BenchReport:
 
 
 def _make_family(family: str, seed: int, n_max: int, k: int, fraction: float) -> Instance:
-    n = 3 + seed % max(1, n_max - 2)
+    n = 3 + seed % (n_max - 2)
     if family == "random":
         return generate_random(n, k, fraction, seed)
     if family == "collinear":
@@ -282,22 +284,22 @@ def ratio_bench(
     n_max: int = 6,
     k: int = 3,
     fraction: float = 0.5,
-    rho: float = 1.21,
 ) -> BenchReport:
     """Compare algorithms against the brute-force optimum over seeded instances.
 
-    Per-seed generation or budget failures are recorded and the run continues.
+    Instance sizes cycle through 3..``n_max`` (FormatError below 3); each
+    algorithm's bound is its solutions' certified ``ratio_bound``.  Per-seed
+    generation or budget failures are recorded and the run continues.
     """
-    from . import approx3, exact2  # local import: approx3 builds on this module's callers
-
-    config = approx3.ApproxConfig(steiner_ratio_bound=rho)
-    report = BenchReport(bounds={"a1": 2.0, "a2": config.ratio_a2, "exact2": 1.0})
+    if n_max < 3:
+        raise FormatError(f"n_max must be at least 3, got {n_max}")
+    report = BenchReport()
 
     def run_algo(name: str, inst: Instance) -> Solution:
         if name == "a1":
-            return approx3.approx_a1(inst, config=config)
+            return approx3.approx_a1(inst)
         if name == "a2":
-            return approx3.approx_a2(inst, config=config)
+            return approx3.approx_a2(inst)
         if name == "exact2":
             return exact2.solve_pair(exact2.project_pair(inst, 1, 2))
         raise ValueError(f"unknown algorithm: {name}")
@@ -315,6 +317,7 @@ def ratio_bench(
             except RefusalError as exc:
                 report.failures.append((seed, name, str(exc)))
                 continue
+            report.bounds[name] = sol.ratio_bound
             if opt <= 0:
                 ratio = 1.0 if sol.cost <= 0 else math.inf
             else:

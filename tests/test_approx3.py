@@ -84,10 +84,16 @@ def test_pairing_k1_is_mst():
 
 
 def test_pairing_k3_matches_a1():
-    inst = core.generate_random(6, 3, 0.5, 17)
-    a1 = approx3.approx_a1(inst)
-    pairing = approx3.approx_pairing(inst, [(1, 2), (3,)])
-    assert pairing.cost == pytest.approx(a1.cost, rel=1e-12)
+    # A1 and A2's G1 are both the k = 3 pairing (1, 2), (3,): same edges, same cost bits
+    cases = [(n, k, frac, seed) for n, k, frac, seed, *_ in PINNED_A3]
+    cases += [(3 + s % 9, 3, (0.5, 0.9)[s % 2], 1000 + s) for s in range(100)]
+    for n, k, frac, seed in cases:
+        inst = core.generate_random(n, k, frac, seed)
+        a1 = approx3.approx_a1(inst)
+        for other in (approx3.approx_a2_bundle(inst).graphs[0],
+                      approx3.approx_pairing(inst, [(1, 2), (3,)])):
+            assert np.array_equal(other.edges, a1.edges), seed
+            assert other.cost == a1.cost, seed
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mcsg import cli, collinear, core, oracle
-from mcsg.render import RenderStyle, render_svg
+from mcsg.render import render_svg
 
 
 @pytest.fixture
@@ -52,6 +52,27 @@ def test_solve_auto_a2_for_planar_k3(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["algorithm"] == "a2"
     assert doc["ratio_bound"] == pytest.approx(2 - 1 / (3 + 2 * 1.21))
+
+
+def test_solve_auto_falls_back_where_the_dp_refuses(tmp_path, capsys):
+    # a k = 6 line whose second cut is over collinear.MAX_STATES_PER_CUT
+    inst = core.generate_collinear(7, 6, 1.0, 1164)
+    with pytest.raises(core.RefusalError):
+        collinear.dp_solve(inst)
+    path = tmp_path / "line.json"
+    path.write_text(core.instance_to_json(inst))
+    out = tmp_path / "sol.json"
+    assert run("solve", "--input", str(path), "--output", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["algorithm"] == "pairing"
+    assert doc["cost"] == 8.559139868592156
+    # where the pairing refuses too, the message names both budgets
+    path.write_text(core.instance_to_json(core.generate_collinear(200, 4, 0.3, 7)))
+    capsys.readouterr()
+    assert run("solve", "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "(collinear.MAX_STATES_PER_CUT); pairing: exact2 needs" in err
+    assert err.rstrip().endswith("(exact2.M_LIMIT)")
 
 
 def test_exit_codes(tmp_path):
@@ -110,6 +131,10 @@ def test_gen_and_bench(tmp_path, capsys):
                "--out", str(csv_out)) == 0
     header = csv_out.read_text().splitlines()[0]
     assert header == "seed,n,k,opt,algo,cost,ratio"
+    capsys.readouterr()
+    for n_max in ("2", "0"):
+        assert run("bench", "--n-max", n_max, "--seeds", "2", "--out", str(csv_out)) == 1
+        assert "n_max must be at least 3" in capsys.readouterr().err
 
 
 def test_gen_gadget_with_witness(tmp_path, capsys):
@@ -200,8 +225,8 @@ def test_exact2_rejects_bad_merge_groups(tmp_path, capsys):
 def test_render_deterministic_and_colors(tmp_path):
     inst = core.Instance(3, [(0, 0, {1, 2}), (1, 0, {1, 2}), (2, 0, {3})])
     sol = core.make_solution(inst, [(0, 1)], "x")
-    a = render_svg(inst, sol, RenderStyle())
-    b = render_svg(inst, sol, RenderStyle())
+    a = render_svg(inst, sol)
+    b = render_svg(inst, sol)
     assert a == b
     text = a.decode()
     assert 'stroke="purple"' in text  # {r,b} edge

@@ -202,7 +202,9 @@ def test_solution_json_round_trip():
 def test_solution_from_json_rejects_non_integer_endpoints_and_odd_costs():
     good = {"algorithm": "x", "cost": 1, "edges": [[0, 1], [1, 2]], "ratio_bound": None}
     assert core.solution_from_json(json.dumps(good)).edge_set() == {(0, 1), (1, 2)}
-    for edges in ([[0.7, 1], [1, 2]], [[True, 2]], [["0", 1]], [[0, None]], [1, 2]):
+    assert core.solution_from_json(json.dumps(dict(good, edges=[]))).edges.shape == (0, 2)
+    for edges in ([[0.7, 1], [1, 2]], [[True, 2]], [["0", 1]], [[0, None]], [1, 2],
+                  [[0, 1, 2, 3]], [[]], [[0, 1, 2]], [[0, 1], []], {"0": [0, 1]}, "01"):
         with pytest.raises(core.FormatError):
             core.solution_from_json(json.dumps(dict(good, edges=edges)))
     for cost in (True, "2", None, [1.0], 10**400):

@@ -123,6 +123,15 @@ def test_ratio_bench_families():
     assert not report.violations()
 
 
+def test_ratio_bench_bounds_come_from_the_solutions():
+    report = oracle.ratio_bench("random", ["a1", "a2"], 4, k=3)
+    assert report.bounds == {"a1": 2.0, "a2": 2 - 1 / (3 + 2 * 1.21)}
+    assert {r.n for r in oracle.ratio_bench("random", ["a1"], 4, n_max=3).rows} == {3}
+    for n_max in (2, 0, -5):
+        with pytest.raises(core.FormatError, match="n_max must be at least 3"):
+            oracle.ratio_bench("random", ["a1"], 4, n_max=n_max)
+
+
 def test_ratio_bench_records_failures_and_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(exact2, "M_LIMIT", 2)
     report = oracle.ratio_bench("random", ["exact2"], 5, n_max=6, k=2, fraction=1.0)
