@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mst
-from .core import Instance, Solution, as_edges, make_solution, merge_edges
+from .core import Instance, Solution, make_solution, merge_edges
 from .exact2 import project_pair, solve_pair
+from .mst import mst_completion  # also bound here: perfbench traces it as approx3.mst_completion
 
 
 @dataclass(frozen=True)
@@ -48,26 +49,6 @@ class CandidateBundle:
     @property
     def best(self) -> Solution:
         return self.graphs[self.chosen]
-
-
-def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = None) -> np.ndarray:
-    """Minimum edge set spanning ``members`` given pre-connected blocks.
-
-    The blocks of ``merged`` (instance indices; points outside ``members``
-    are ignored) count as already connected.  A minimum completion needs
-    only EMST edges of the class (see ``mst``), so this is ``mst.kruskal``
-    over the EMST of ``members`` with the blocks pre-united; returns the
-    chosen point pairs.  ``tree`` is that EMST as ``mst.subset_mst`` gives
-    it, when the caller already has it (from ``mst.class_trees``); it is
-    computed otherwise.
-    """
-    ids = np.asarray(members, dtype=np.int64).tolist()
-    pos = {p: i for i, p in enumerate(ids)}
-    blocks = [[pos[p] for p in map(int, block) if p in pos] for block in merged]
-    if tree is None:
-        tree = mst.subset_mst(inst.xy, ids)
-    kept = mst.kruskal(len(ids), [(pos[a], pos[b]) for a, b in tree.tolist()], blocks)
-    return as_edges([(ids[a], ids[b]) for a, b in kept])
 
 
 def _pair_plus_trees(inst: Instance, blocks, trees: dict[int, np.ndarray]) -> np.ndarray:

@@ -29,6 +29,7 @@ from .core import (
     generate_collinear,
     generate_random,
     instance_to_json,
+    save_instance,
     solution_from_json,
     solution_to_json,
 )
@@ -221,10 +222,10 @@ def _cmd_collinear(args) -> int:
 def _cmd_prune(args) -> int:
     inst = _read_instance(args.input)
     for c in range(1, inst.k + 1):
-        forest = mst.forced_edges(inst, c)
-        pairs = " ".join(f"({a},{b})" for a, b in forest.edges.tolist())
-        print(f"color {c}: {forest.edges.shape[0]} forced edges "
-              f"({forest.n_components} components) {pairs}")
+        edges = mst.forced_edges(inst, c)
+        pairs = " ".join(f"({a},{b})" for a, b in edges.tolist())
+        components = inst.color_class(c).size - len(edges)  # the forced edges form a forest
+        print(f"color {c}: {len(edges)} forced edges ({components} components) {pairs}")
     return EXIT_OK
 
 
@@ -235,8 +236,7 @@ def _cmd_gen(args) -> int:
         inst = generate_collinear(args.n, args.k, args.fraction, args.seed)
     else:
         return _cmd_gen_gadget(args)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
+    save_instance(inst, args.output)
     return EXIT_OK
 
 

@@ -329,6 +329,17 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc)
 
 
+def _read_json(source: str | bytes | IO, what: str):
+    """The JSON document in text, UTF-8 bytes or a readable file; FormatError
+    naming ``what`` if it does not decode or parse."""
+    if hasattr(source, "read"):
+        source = source.read()
+    try:
+        return json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"malformed {what} document: {exc}") from exc
+
+
 def load_instance(source: str | bytes | IO) -> Instance:
     """Parse the JSON instance format, preserving point order.
 
@@ -336,14 +347,7 @@ def load_instance(source: str | bytes | IO) -> Instance:
     JSON numbers, colors that are not integers in 1..k, empty color sets,
     bad k, or coincident points.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed instance document: {exc}") from exc
+    doc = _read_json(source, "instance")
     if not isinstance(doc, dict) or "k" not in doc or "points" not in doc:
         raise FormatError("instance document needs 'k' and 'points'")
     k, records = doc["k"], doc["points"]
@@ -394,14 +398,7 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
     """Parse the JSON solution format; the algorithm must be a JSON string, the
     cost a JSON number, the ratio bound null or a JSON number and the edges a
     list of lists of two JSON integers each (FormatError otherwise)."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed solution document: {exc}") from exc
+    doc = _read_json(source, "solution")
     try:
         algorithm, cost, edges = doc["algorithm"], doc["cost"], doc["edges"]
         ratio_bound = doc.get("ratio_bound")

@@ -153,7 +153,8 @@ class _Engine:
 
     def dist(self, a: int, b: int) -> float:
         (xa, ya), (xb, yb) = self.pts[a], self.pts[b]
-        return math.hypot(xa - xb, ya - yb)
+        dx, dy = xa - xb, ya - yb
+        return math.sqrt(dx * dx + dy * dy)  # mst's length rule, bit for bit
 
     def block_mst(self, mask: int) -> tuple[float, list[tuple[int, int]]]:
         """MST (cost, point pairs) of the units in bitmask ``mask``, memoised."""
@@ -209,13 +210,11 @@ class _World:
     def __init__(self, engine: _Engine, bit: int, class_tree: np.ndarray):
         bits, dist = engine.bits, engine.dist
         members = [p for p in range(len(bits)) if bits[p] & bit]
-        # the class tree at projection positions (idx is sorted), ascending by
-        # (weight, a, b) weighed with the engine's math.hypot: numpy's hypot
-        # can differ from it in the last bit
-        local = np.searchsorted(engine.proj.idx, class_tree).tolist()
-        tree = sorted((dist(a, b), a, b) for a, b in local)
+        # the class tree at projection positions; idx is sorted, so the pairs
+        # keep subset_mst's ascending (length, a, b) order
+        tree = np.searchsorted(engine.proj.idx, class_tree).tolist()
         purple = [p for p in members if bits[p] == 3]
-        forced = mst.kruskal(len(bits), [(a, b) for _, a, b in tree], [purple])
+        forced = mst.kruskal(len(bits), tree, [purple])
         forced.sort()  # (a, b) order: forced_cost sums them in this order
         engine.forced_edges.extend(forced)
         uf = mst.UnionFind(len(bits))
@@ -229,7 +228,7 @@ class _World:
         comp = {p: roots.setdefault(uf.find(p), len(roots)) for p in members}
         self.n_comps = len(roots)
         # EMST edges between components (the forced ones lie inside one)
-        self.links = [(w, a, b, comp[a], comp[b]) for w, a, b in tree if comp[a] != comp[b]]
+        self.links = [(dist(a, b), a, b, comp[a], comp[b]) for a, b in tree if comp[a] != comp[b]]
         self.unit_comp = [comp[unit[0]] for unit in engine.units]
         self.lower_bound = self.complete((0,) * len(engine.units))
 

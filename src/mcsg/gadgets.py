@@ -34,7 +34,7 @@ import numpy as np
 
 from . import mst
 from .core import (FormatError, Instance, Solution, as_edges, first_of_runs, make_solution,
-                   merge_edges, over_budget)
+                   merge_edges, over_budget, solution_cost)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -793,10 +793,5 @@ def build_witness(g: GadgetInstance, assignment) -> Solution:
 def compute_w(g: GadgetInstance) -> float:
     """Recompute the threshold from the emitted points via the forced edges."""
     inst = g.instance
-    total = 0.0
-    for c in (1, 2, 3):
-        forest = mst.forced_edges(inst, c)
-        if forest.edges.size:
-            d = inst.xy[forest.edges[:, 0]] - inst.xy[forest.edges[:, 1]]
-            total += float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+    total = sum(solution_cost(inst, mst.forced_edges(inst, c)) for c in (1, 2, 3))
     return _plus_switch_terms(total + 39.0 * g.r * g.epsilon, g.r, g.m_clauses, g.delta)

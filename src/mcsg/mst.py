@@ -4,24 +4,23 @@ The EMST is the only edge source a minimum completion needs: with the edges
 F of any pre-merged blocks added, an MST of G plus F uses only edges of F and
 of MST(G), because every other pair is the longest edge on a cycle of MST(G)
 edges.  So completing a class around already connected blocks is ``kruskal``
-over its EMST edges in (length, a, b) order with the blocks pre-united.
-At every n, the EMST here is the unique MST under that strict order.
+over its EMST edges in (length, a, b) order with the blocks pre-united, and
+``mst_completion`` is the one routine that does it.  At every n, the EMST
+here is the unique MST under that strict order.
 
 The forced edges of color c are one such completion.  A maximal subset of
 MST(S_c) in which no component contains two multichromatic points lies
 inside some optimum solution, so every solver starts from it; it is the
 completion of S_c with all its multichromatic points pre-merged into one
 block (an edge is dropped exactly when it would join two components that
-each hold a multichromatic point).
+each hold a multichromatic point).  It is a forest with one component per
+multichromatic point, or a spanning tree of a nonempty S_c that has none,
+so its component count is |S_c| minus its edge count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import Instance, as_edges
@@ -200,40 +199,32 @@ def class_trees(inst: Instance, colors) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# forced edges
+# minimum completions and the forced edges
 
 
-@dataclass(frozen=True, eq=False)
-class ColorForest:
-    """Forced edges of one color class.
+def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = None) -> np.ndarray:
+    """Minimum edge set spanning ``members`` given pre-connected blocks.
 
-    ``points`` lists S_c as instance indices, ``edges`` the kept MST edges
-    (instance indices), and ``components`` a component id per entry of
-    ``points``.  When the class has multichromatic points, each component
-    contains exactly one of them.
+    The blocks of ``merged`` (instance indices; points outside ``members``
+    are ignored) count as already connected.  This is ``kruskal`` over the
+    EMST of ``members`` with the blocks pre-united (see the module
+    docstring); returns the chosen pairs as a canonical edge array.
+    ``tree`` is that EMST as ``subset_mst`` gives it, when the caller
+    already has it (from ``class_trees``); it is computed otherwise.
     """
+    members = np.asarray(members, dtype=np.int64)
+    pos = np.full(inst.n, -1, dtype=np.int64)
+    pos[members] = np.arange(members.size)
+    blocks = [[p for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0] for block in merged]
+    if tree is None:
+        tree = subset_mst(inst.xy, members)
+    kept = kruskal(members.size, pos[tree].tolist(), blocks)
+    return as_edges(members[np.array(kept, dtype=np.int64).reshape(-1, 2)])
 
-    color: int
-    points: np.ndarray
-    edges: np.ndarray
-    components: np.ndarray
 
-    @property
-    def n_components(self) -> int:
-        return int(self.components.max()) + 1 if self.components.size else 0
-
-
-def forced_edges(inst: Instance, c: int) -> ColorForest:
-    """Forced edges for color c: the completion of S_c with its
-    multichromatic points pre-merged (see the module docstring)."""
+def forced_edges(inst: Instance, c: int) -> np.ndarray:
+    """Forced edges of color c as a canonical edge array: the completion of
+    S_c with its multichromatic points pre-merged (see the module docstring).
+    They form a forest whose component count is |S_c| minus their count."""
     members = inst.color_class(c)
-    n = members.size
-    local = np.searchsorted(members, subset_mst(inst.xy, members))
-    active = np.flatnonzero(inst.multichromatic()[members]).tolist()
-    kept = as_edges(kruskal(n, local.tolist(), [active]))
-    graph = coo_matrix((np.ones(kept.shape[0]), (kept[:, 0], kept[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)  # labelled in vertex order
-    return ColorForest(
-        color=c, points=members, edges=members[kept], components=labels.astype(np.int64)
-    )
-
+    return mst_completion(inst, members, [members[inst.multichromatic()[members]]])

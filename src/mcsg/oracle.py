@@ -288,11 +288,14 @@ def ratio_bench(
     """Compare algorithms against the brute-force optimum over seeded instances.
 
     Instance sizes cycle through 3..``n_max`` (FormatError below 3); each
-    algorithm's bound is its solutions' certified ``ratio_bound``.  Per-seed
-    generation or budget failures are recorded and the run continues.
+    algorithm's bound is its solutions' certified ``ratio_bound``.  A refusal
+    on one seed is recorded and the run continues; a bad parameter raises
+    (FormatError from the generators, or for an ``allblack`` k other than 3).
     """
     if n_max < 3:
         raise FormatError(f"n_max must be at least 3, got {n_max}")
+    if family == "allblack" and k != 3:
+        raise FormatError(f"the allblack family has k = 3, got k = {k}")
     report = BenchReport()
 
     def run_algo(name: str, inst: Instance) -> Solution:
@@ -308,8 +311,8 @@ def ratio_bench(
         try:
             inst = _make_family(family, seed, n_max, k, fraction)
             opt = brute_force(inst).cost
-        except (RefusalError, ValueError) as exc:
-            report.failures.append((seed, "generate/oracle", str(exc)))
+        except RefusalError as exc:
+            report.failures.append((seed, "oracle", str(exc)))
             continue
         for name in algorithms:
             try:

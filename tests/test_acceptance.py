@@ -97,7 +97,7 @@ def test_criterion_3_ratio_bounds():
 def test_criterion_4_forced_edge_safety():
     for seed in range(100):
         inst = core.generate_random(2 + seed % 6, 2 + seed % 2, 0.5, seed)
-        required = core.merge_edges(*(mst.forced_edges(inst, c).edges
+        required = core.merge_edges(*(mst.forced_edges(inst, c)
                                       for c in range(1, inst.k + 1)))
         free = oracle.brute_force(inst).cost
         constrained = oracle.brute_force(inst, required=required).cost

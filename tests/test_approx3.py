@@ -115,12 +115,13 @@ def test_rigid_motion_invariance():
 
 
 def test_mst_completion_examples():
+    assert approx3.mst_completion is mst.mst_completion  # the one completion, bound in both
     inst = core.Instance(1, [(0, 0, {1}), (1, 0, {1}), (3, 0, {1})])
     members = inst.color_class(1)
-    assert approx3.mst_completion(inst, members, [set(range(3))]).shape == (0, 2)
-    free = approx3.mst_completion(inst, members, [])
+    assert mst.mst_completion(inst, members, [set(range(3))]).shape == (0, 2)
+    free = mst.mst_completion(inst, members, [])
     assert free.tolist() == [[0, 1], [1, 2]]
-    merged = approx3.mst_completion(inst, members, [{0, 1}])
+    merged = mst.mst_completion(inst, members, [{0, 1}])
     assert merged.tolist() == [[1, 2]]
 
 
@@ -161,7 +162,7 @@ def test_mst_completion_matches_brute_reference(seed):
     labels = rng.integers(0, max(1, inst.n // 3), size=inst.n)
     merged = [frozenset(np.flatnonzero(labels == b).tolist()) for b in range(labels.max() + 1)]
     merged = [b for b in merged if len(b) > 1 and rng.random() < 0.6]
-    got = approx3.mst_completion(inst, members, merged)
+    got = mst.mst_completion(inst, members, merged)
     want = brute_completion(inst, members, merged)
     assert np.array_equal(got, want)
     assert core.solution_cost(inst, got) == pytest.approx(core.solution_cost(inst, want), rel=1e-12)

@@ -137,6 +137,19 @@ def test_gen_and_bench(tmp_path, capsys):
         assert "n_max must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--fraction", "2"), "multichromatic fraction must be in [0, 1]"),
+    (("--k", "17"), "invalid parameters"),
+    (("--family", "allblack", "--k", "4"), "the allblack family has k = 3"),
+])
+def test_bench_rejects_bad_parameters(tmp_path, capsys, flags, message):
+    # a parameter error is a usage error, not a failure of every seed
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", *flags, "--seeds", "2", "--out", str(csv_out)) == 1
+    assert message in capsys.readouterr().err
+    assert not csv_out.exists()
+
+
 def test_gen_gadget_with_witness(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p mcnf 2 1\n+ 1 2\n")
@@ -258,6 +271,23 @@ def test_prune_output(inst_file, capsys):
     assert run("prune", "--input", path) == 0
     out = capsys.readouterr().out
     assert out.startswith("color 1:")
+
+
+def test_prune_component_counts(tmp_path, capsys):
+    # Color 1 holds both multichromatic points, color 2 only the first of
+    # them and color 3 nothing; color 4 is the second one's partner.  (With
+    # k = 3, a class of two multichromatic points leaves no room for both an
+    # empty and a singleton class.)
+    inst = core.Instance(4, [(0, 0, {1, 2}), (1, 0, {1}), (3, 0, {1, 4}), (3, 2, {4})])
+    path = tmp_path / "p.json"
+    core.save_instance(inst, str(path))
+    assert run("prune", "--input", str(path)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "color 1: 1 forced edges (2 components) (0,1)",
+        "color 2: 0 forced edges (1 components) ",
+        "color 3: 0 forced edges (0 components) ",
+        "color 4: 1 forced edges (1 components) (2,3)",
+    ]
 
 
 # sha256 of `mcsg prune` output on generate_random(4600, 2, 0.01, seed), whose

@@ -199,6 +199,13 @@ def test_solution_json_round_trip():
     assert np.array_equal(again.edges, sol.edges)
 
 
+def test_json_readers_reject_undecodable_documents():
+    for read, what in ((core.load_instance, "instance"), (core.solution_from_json, "solution")):
+        for doc in (b"\xff{}", b"{", "{", io.BytesIO(b'{"k": \xe9}')):
+            with pytest.raises(core.FormatError, match=f"malformed {what} document"):
+                read(doc)
+
+
 def test_solution_from_json_rejects_non_integer_endpoints_and_odd_costs():
     good = {"algorithm": "x", "cost": 1, "edges": [[0, 1], [1, 2]], "ratio_bound": None}
     assert core.solution_from_json(json.dumps(good)).edge_set() == {(0, 1), (1, 2)}

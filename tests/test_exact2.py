@@ -55,13 +55,28 @@ def test_solve_pair_relabel_invariant():
         assert a == pytest.approx(b, rel=1e-9)
 
 
+def lattice(n, rows, cols, m, seed):
+    """n distinct points of a rows x cols integer grid, k = 2, m of them
+    purple: many pairs of exactly equal length."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(rows * cols, size=n, replace=False)
+    masks = 1 + rng.integers(0, 2, size=n)
+    masks[:2] = (1, 2)  # both colors present
+    masks[rng.permutation(n)[:m]] = 3
+    return core.Instance.from_arrays(2, np.stack([cells % cols, cells // cols], axis=1), masks)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_oracle(seed):
-    inst = core.generate_random(3 + seed % 5, 2, (0.2, 0.5, 1.0)[seed % 3], seed)
-    sol = exact2.solve_pair(proj(inst))
-    opt = oracle.brute_force(inst)
-    assert sol.cost == pytest.approx(opt.cost, rel=1e-9)
-    assert core.is_csg(inst, sol.edges)
+    n, fraction = 3 + seed % 5, (0.2, 0.5, 1.0)[seed % 3]
+    # random points, then integer-lattice points whose length ties exact2 must
+    # order as the class trees do
+    for inst in (core.generate_random(n, 2, fraction, seed),
+                 lattice(n, 3, 3, round(fraction * n), seed)):
+        sol = exact2.solve_pair(proj(inst))
+        opt = oracle.brute_force(inst)
+        assert sol.cost == pytest.approx(opt.cost, rel=1e-9)
+        assert core.is_csg(inst, sol.edges)
 
 
 def test_contains_forced_edges():
@@ -70,7 +85,7 @@ def test_contains_forced_edges():
         sol = exact2.solve_pair(proj(inst))
         got = sol.edge_set()
         for c in (1, 2):
-            for a, b in mst.forced_edges(inst, c).edges:
+            for a, b in mst.forced_edges(inst, c):
                 assert (int(a), int(b)) in got
 
 
@@ -96,10 +111,11 @@ def test_matches_collinear_dp(seed):
     # The cut DP is exact at any n for k = 2, so it arbitrates far beyond the
     # oracle's reach.
     n, m = 14 + seed % 17, 5 + seed % 3
-    inst = core.generate_collinear(n, 2, (m + 0.5) / n, seed)
-    sol = exact2.solve_pair(proj(inst))
-    assert sol.cost == pytest.approx(collinear.dp_solve(inst).cost, rel=1e-9)
-    assert core.is_csg(inst, sol.edges)
+    for inst in (core.generate_collinear(n, 2, (m + 0.5) / n, seed),
+                 lattice(n, 1, 2 * n, m, seed)):  # integer gaps: equal lengths
+        sol = exact2.solve_pair(proj(inst))
+        assert sol.cost == pytest.approx(collinear.dp_solve(inst).cost, rel=1e-9)
+        assert core.is_csg(inst, sol.edges)
 
 
 def test_skipped_forest_regression():

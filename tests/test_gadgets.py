@@ -139,8 +139,7 @@ def test_witness_contains_forced_edges(small_gadget):
     sol = gadgets.build_witness(g, [True, False])
     have = sol.edge_set()
     for c in (1, 2, 3):
-        forest = mst.forced_edges(g.instance, c)
-        for a, b in forest.edges:
+        for a, b in mst.forced_edges(g.instance, c):
             assert (int(a), int(b)) in have
 
 

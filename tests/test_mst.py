@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
 from mcsg import core, mst
@@ -127,47 +127,57 @@ def test_large_emst_cost_matches_delaunay_reference(seed):
     assert cost == pytest.approx(delaunay_mst_cost(xy), rel=1e-12)
 
 
+def forest_components(inst, c, edges):
+    """S_c and a component id per point of it under ``edges`` (instance
+    indices), labelled in vertex order."""
+    members = inst.color_class(c)
+    local = np.searchsorted(members, edges)
+    graph = coo_matrix((np.ones(len(local)), (local[:, 0], local[:, 1])), shape=(members.size,) * 2)
+    return members, connected_components(graph, directed=False)[1].astype(np.int64)
+
+
 def test_forced_edges_drops_longest_between_multichromatic():
     inst = core.Instance(2, [(0, 0, {1, 2}), (1, 0, {1}), (3, 0, {1, 2})])
-    forest = mst.forced_edges(inst, 1)
-    assert forest.edges.tolist() == [[0, 1]]
-    assert forest.n_components == 2
+    edges = mst.forced_edges(inst, 1)
+    assert edges.tolist() == [[0, 1]]
+    assert forest_components(inst, 1, edges)[1].tolist() == [0, 0, 1]
 
 
 def test_forced_edges_keeps_whole_mst_when_monochromatic():
     inst = core.Instance(2, [(0, 0, {1}), (1, 0, {1}), (3, 0, {1}), (0.5, 9, {2})])
-    forest = mst.forced_edges(inst, 1)
-    assert forest.edges.shape[0] == 2
-    assert forest.n_components == 1
+    edges = mst.forced_edges(inst, 1)
+    assert edges.shape[0] == 2
+    assert forest_components(inst, 1, edges)[1].tolist() == [0, 0, 0]
 
 
 def test_forced_edges_singleton_class():
     inst = core.Instance(2, [(0, 0, {1}), (1, 0, {2})])
-    forest = mst.forced_edges(inst, 2)
-    assert forest.edges.shape[0] == 0
-    assert forest.n_components == 1
+    edges = mst.forced_edges(inst, 2)
+    assert edges.shape == (0, 2)
+    assert forest_components(inst, 2, edges)[1].tolist() == [0]
 
 
 def test_forced_edges_subset_of_mst_and_component_count():
     for seed in range(30):
         inst = core.generate_random(7, 2, 0.5, seed)
         for c in (1, 2):
-            forest = mst.forced_edges(inst, c)
-            members = inst.color_class(c)
+            edges = mst.forced_edges(inst, c)
+            members, labels = forest_components(inst, c, edges)
             if members.size <= 1:
                 continue
             full = {tuple(sorted((int(members[a]), int(members[b]))))
                     for a, b in mst.euclidean_mst(inst.xy[members])}
-            kept = {tuple(e) for e in forest.edges.tolist()}
+            kept = {tuple(e) for e in edges.tolist()}
             assert kept <= full
+            n_components = int(labels.max()) + 1
+            assert n_components == members.size - len(edges)  # a forest
             actives = int(inst.multichromatic()[members].sum())
             if actives:
-                assert forest.n_components == actives
+                assert n_components == actives
                 # each component holds exactly one multichromatic point
-                for comp in range(forest.n_components):
-                    pts = forest.points[forest.components == comp]
+                for comp in range(n_components):
+                    pts = members[labels == comp]
                     assert int(inst.multichromatic()[pts].sum()) == 1
-
 
 
 def test_kruskal_blocks_and_early_stop():
@@ -234,17 +244,19 @@ def test_forced_edges_match_veto_rule(sparse, monkeypatch):
     active_counts = set()
     for inst in _forced_cases():
         for c in range(1, inst.k + 1):
-            forest = mst.forced_edges(inst, c)
+            got = mst.forced_edges(inst, c)
             edges, labels = veto_forest(inst, c)
-            assert np.array_equal(forest.edges, edges)
-            assert forest.components.tolist() == labels
+            assert np.array_equal(got, edges)
+            members, components = forest_components(inst, c, got)
+            assert components.tolist() == labels
             classes += 1
-            active_counts.add(min(2, int(inst.multichromatic()[forest.points].sum())))
+            active_counts.add(min(2, int(inst.multichromatic()[members].sum())))
     assert classes >= 100 and active_counts == {0, 1, 2}
 
 
-# sha256 of forced_edges(...).edges and .components bytes on the three color
-# classes of the r = 2 gadget, recorded with the veto rule
+# sha256 of the forced edges' bytes and their component labels' (vertex
+# order, int64) on the three color classes of the r = 2 gadget, recorded
+# with the veto rule
 SMALL_GADGET_FORCED = {
     1: "97eced63cbc365bc04353835a12517dcff2b93cbec375a45408cdbd49783a524",
     2: "605c313fc01320bf0bf63688a470c6d3a90cdf16c3919403f3bd411e3c4f7d61",
@@ -254,6 +266,6 @@ SMALL_GADGET_FORCED = {
 
 def test_small_gadget_forced_edges_pinned(small_gadget):
     for c, digest in SMALL_GADGET_FORCED.items():
-        forest = mst.forced_edges(small_gadget.instance, c)
-        data = forest.edges.tobytes() + forest.components.tobytes()
+        edges = mst.forced_edges(small_gadget.instance, c)
+        data = edges.tobytes() + forest_components(small_gadget.instance, c, edges)[1].tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, c

@@ -37,7 +37,7 @@ def naive_optimum(inst: core.Instance) -> float:
 
 def forced_union(inst: core.Instance) -> np.ndarray:
     """The forced edges of every color, in one edge set."""
-    return core.merge_edges(*(mst.forced_edges(inst, c).edges for c in range(1, inst.k + 1)))
+    return core.merge_edges(*(mst.forced_edges(inst, c) for c in range(1, inst.k + 1)))
 
 
 def test_single_point_and_forced_pair():
