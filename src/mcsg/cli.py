@@ -223,9 +223,10 @@ def _cmd_prune(args) -> int:
     inst = _read_instance(args.input)
     for c in range(1, inst.k + 1):
         edges = mst.forced_edges(inst, c)
-        pairs = " ".join(f"({a},{b})" for a, b in edges.tolist())
+        pairs = "".join(f" ({a},{b})" for a, b in edges.tolist())
         components = inst.color_class(c).size - len(edges)  # the forced edges form a forest
-        print(f"color {c}: {len(edges)} forced edges ({components} components) {pairs}")
+        noun = "component" if components == 1 else "components"
+        print(f"color {c}: {len(edges)} forced edges ({components} {noun}){pairs}")
     return EXIT_OK
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 MAX_COLORS = 16
 
@@ -239,7 +237,8 @@ def is_csg(inst: Instance, edges) -> bool:
 
     For every color c the subgraph induced by the class of c, using only the
     edges whose endpoints share c, must be connected (vacuous for classes of
-    size <= 1).  Edges with an empty shared color set are ignored.
+    size <= 1).  Edges with an empty shared color set are ignored.  Each class
+    is labelled by ``_hook_labels``, in numpy alone.
     """
     e = as_edges(edges, inst.n)
     shared = (inst.masks[e[:, 0]] & inst.masks[e[:, 1]]) if e.size else np.zeros(0, np.uint32)
@@ -252,13 +251,30 @@ def is_csg(inst: Instance, edges) -> bool:
             return False
         pos = np.full(inst.n, -1, dtype=np.int64)
         pos[members] = np.arange(members.size)
-        g = coo_matrix(
-            (np.ones(ec.shape[0]), (pos[ec[:, 0]], pos[ec[:, 1]])),
-            shape=(members.size, members.size),
-        )
-        if connected_components(g, directed=False, return_labels=False) != 1:
+        if _hook_labels(members.size, pos[ec[:, 0]], pos[ec[:, 1]])[0].any():
             return False
     return True
+
+
+def _hook_labels(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component labels of vertices 0..n-1 under the edges (a[i], b[i]), and
+    the number of hook rounds taken.
+
+    Each round hooks every edge's larger root label onto its smaller one, then
+    pointer-jumps until every vertex names its root; each vertex ends labelled
+    with the least vertex of its component (0 for all iff connected).  A tree
+    whose root is below all its neighbours' may wait a round for them to hook
+    on; relabelled paths and random trees take fewer than log2 n rounds.
+    """
+    lab, rounds = np.arange(n), 0
+    while True:
+        la, lb = lab[a], lab[b]
+        if (la == lb).all():
+            return lab, rounds
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while ((up := lab[lab]) != lab).any():
+            lab = up
+        rounds += 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ so its component count is |S_c| minus its edge count.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Instance, as_edges
 
@@ -103,6 +102,8 @@ def _boruvka_mst(xy: np.ndarray) -> np.ndarray:
     candidates a < b hold, per point p, every foreign point within kd distance
     ``reach[p]``; a point whose reach falls short of its component's best pair
     gets one wider k-NN row, then a ball search outside its component."""
+    from scipy.spatial import cKDTree  # here, so import mcsg and small solves never load scipy
+
     n = xy.shape[0]
     tree, lab, reach, wide = cKDTree(xy), np.arange(n), np.zeros(n), np.zeros(n, dtype=bool)
     a, b, length, kept = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), []

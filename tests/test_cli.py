@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -284,9 +287,9 @@ def test_prune_component_counts(tmp_path, capsys):
     assert run("prune", "--input", str(path)) == 0
     assert capsys.readouterr().out.splitlines() == [
         "color 1: 1 forced edges (2 components) (0,1)",
-        "color 2: 0 forced edges (1 components) ",
-        "color 3: 0 forced edges (0 components) ",
-        "color 4: 1 forced edges (1 components) (2,3)",
+        "color 2: 0 forced edges (1 component)",
+        "color 3: 0 forced edges (0 components)",
+        "color 4: 1 forced edges (1 component) (2,3)",
     ]
 
 
@@ -307,3 +310,41 @@ def test_prune_output_pinned(tmp_path, capsys):
         assert run("prune", "--input", str(path)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import mcsg, mcsg.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = [("import mcsg, mcsg.cli", 0, scipy_modules())]
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mcsg.cli.main([command, "--input", path])
+    seen.append((f"{command} {path}", code, scipy_modules()))
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_emsts_above_the_dense_limit(tmp_path):
+    # scipy was most of a one-shot command's start-up, so only the Borůvka
+    # EMST (classes above mst.DENSE_LIMIT points) may load it, on first use
+    runs = [("solve", core.generate_random(20, 2, 0.3, 1)),  # exact2
+            ("solve", core.generate_collinear(70, 3, 0.3, 1)),  # the collinear DP
+            ("solve", core.generate_random(20, 3, 0.3, 1)),  # A2
+            ("prune", core.generate_random(4600, 2, 0.01, 0))]  # Borůvka
+    argv = []
+    for i, (command, inst) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(core.instance_to_json(inst))
+        argv += [command, str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *small, prune = json.loads(proc.stdout.splitlines()[-1])
+    for step, code, scipy in small:
+        assert code == 0 and scipy == [], step
+    assert prune[1] == 0 and "scipy.spatial" in prune[2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcsg import core
+from mcsg import core, mst
 
 
 def inst2(points):
@@ -149,6 +149,107 @@ def test_is_csg_monotone(seed):
     if core.is_csg(inst, chosen):
         extra = chosen + [pairs[int(rng.integers(len(pairs)))]]
         assert core.is_csg(inst, extra)
+
+
+def _scipy_components(n, edges):
+    """Reference labels: per vertex, the least vertex of its component, from
+    scipy's ``connected_components``."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    g = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    _, lab = connected_components(g, directed=False)
+    least = np.full(n, n)
+    np.minimum.at(least, lab, np.arange(n))
+    return least[lab]
+
+
+def _scipy_is_csg(inst, edges):
+    """Reference ``is_csg``: every class of two or more points is one
+    ``_scipy_components`` component under the edges that share its color."""
+    e = core.as_edges(edges, inst.n)
+    for c in range(1, inst.k + 1):
+        members = inst.color_class(c)
+        if members.size <= 1:
+            continue
+        bit = np.uint32(1 << (c - 1))
+        ec = e[(inst.masks[e[:, 0]] & inst.masks[e[:, 1]] & bit) != 0]
+        pos = np.full(inst.n, -1, dtype=np.int64)
+        pos[members] = np.arange(members.size)
+        if _scipy_components(members.size, pos[ec]).any():
+            return False
+    return True
+
+
+def _csg_cases():
+    """name -> (instance, edges): one-color graphs of several shapes, and
+    instances whose classes are singletons, empty or share points."""
+    rng = np.random.default_rng(17)
+
+    def tree(n):  # vertex i hangs from a random earlier vertex
+        return [(int(rng.integers(i)), i) for i in range(1, n)]
+
+    def relabel(n, edges):
+        p = rng.permutation(n)
+        return [(int(p[a]), int(p[b])) for a, b in edges]
+
+    def one_color(n, edges):
+        xy = np.stack([np.arange(n), np.zeros(n)], axis=1)
+        return core.Instance.from_arrays(1, xy, np.ones(n)), edges
+
+    t = tree(40)
+    mixed = core.generate_random(30, 3, 0.4, 5)
+    # a tree per class, plus pairs that share no color and so count for none
+    mixed_edges = [tuple(e) for c in (1, 2, 3)
+                   for e in mst.subset_mst(mixed.xy, mixed.color_class(c)).tolist()]
+    mixed_edges += [(a, b) for a in range(30) for b in range(a + 1, 30)
+                    if not mixed.masks[a] & mixed.masks[b] and rng.random() < 0.1]
+    classes = core.Instance(4, [(0, 0, {1, 2}), (1, 0, {1}), (2, 0, {1, 4}), (3, 0, {1, 4}),
+                                (4, 0, {1})])
+    return {
+        "forest": one_color(30, relabel(30, [e for e in tree(30) if rng.random() < 0.8])),
+        "tree": one_color(40, relabel(40, t)),
+        "path": one_color(40, relabel(40, [(i, i + 1) for i in range(39)])),
+        "star": one_color(20, [(7, i) for i in range(20) if i != 7]),
+        "cycle": one_color(25, relabel(25, [(i, (i + 1) % 25) for i in range(25)])),
+        "duplicates": one_color(40, relabel(40, t + [(b, a) for a, b in t[::3]])),
+        "union": one_color(30, tree(15) + [(a + 15, b + 15) for a, b in tree(15)]),
+        "no-edges": one_color(5, []),
+        "single-point": one_color(1, []),
+        "mixed-colors": (mixed, mixed_edges),
+        "singleton-and-empty-classes": (classes, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    }
+
+
+_CSG_CASES = _csg_cases()
+
+
+@pytest.mark.parametrize("deleted", range(4))
+@pytest.mark.parametrize("name", sorted(_CSG_CASES))
+def test_is_csg_matches_scipy_reference(name, deleted):
+    inst, edges = _CSG_CASES[name]
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)  # as built: repeats and b < a stay
+    rng = np.random.default_rng(deleted)
+    e = np.delete(e, rng.choice(len(e), min(deleted, len(e)), replace=False), axis=0)
+    assert core.is_csg(inst, e) == _scipy_is_csg(inst, e)
+    if inst.k == 1:
+        lab, _ = core._hook_labels(inst.n, e[:, 0], e[:, 1])
+        assert lab.tolist() == _scipy_components(inst.n, e).tolist()
+
+
+@pytest.mark.parametrize("shape", ["path", "tree"])
+def test_hook_rounds_on_relabelled_graphs(shape):
+    # Relabelled at random, 10^5-point paths took 10-11 hook rounds and
+    # random trees 6 (13-14 and 6-7 at 10^6); a linear number would mean the
+    # hooking stalls.
+    n = 100_000
+    rng = np.random.default_rng(3)
+    p = rng.permutation(n)
+    a, b = (p[:-1], p[1:]) if shape == "path" else (p[1:], p[rng.integers(np.arange(1, n))])
+    lab, rounds = core._hook_labels(n, a, b)
+    assert not lab.any()
+    assert rounds <= 17  # ceil(log2(n))
 
 
 def test_solution_cost():
