@@ -225,8 +225,9 @@ def _cmd_prune(args) -> int:
         edges = mst.forced_edges(inst, c)
         pairs = "".join(f" ({a},{b})" for a, b in edges.tolist())
         components = inst.color_class(c).size - len(edges)  # the forced edges form a forest
+        edge_noun = "edge" if len(edges) == 1 else "edges"
         noun = "component" if components == 1 else "components"
-        print(f"color {c}: {len(edges)} forced edges ({components} {noun}){pairs}")
+        print(f"color {c}: {len(edges)} forced {edge_noun} ({components} {noun}){pairs}")
     return EXIT_OK
 
 

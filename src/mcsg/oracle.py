@@ -2,7 +2,10 @@
 
 The oracle enumerates subsets of the candidate edges (pairs with a nonempty
 shared color) with branch-and-bound and is the arbiter for every acceptance
-test.
+test.  Its search state holds, for each color with two or more points, a
+tuple of component labels over the points and the component count; including
+an edge builds new tuples for the colors it joins, so backtracking undoes
+nothing.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Iterable
 
 import numpy as np
 
 from . import approx3, exact2
+from .collinear import collinear_order
 from .core import (
     FormatError,
     Instance,
@@ -35,16 +40,12 @@ from .mst import index_pairs
 MAX_CANDIDATE_EDGES = 22
 
 
-def _line_order(inst: Instance) -> np.ndarray:
-    return np.lexsort((inst.xy[:, 1], inst.xy[:, 0]))
-
-
 def candidate_edges(inst: Instance, star_restricted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs (nonempty shared color), ascending by (weight, a, b).
 
     With ``star_restricted`` an edge is dropped when a point between its
-    endpoints (in order along the line) carries all the edge's shared colors;
-    only meaningful for collinear instances.
+    endpoints (in ``collinear_order`` along the line) carries all the edge's
+    shared colors; points off a line are refused.
     """
     n = inst.n
     a, b = index_pairs(n)
@@ -52,7 +53,7 @@ def candidate_edges(inst: Instance, star_restricted: bool = False) -> tuple[np.n
     keep = shared != 0
     a, b, shared = a[keep], b[keep], shared[keep]
     if star_restricted and a.size:
-        order = _line_order(inst)
+        order = collinear_order(inst)[0]
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         ok = np.ones(a.size, dtype=bool)
@@ -71,56 +72,6 @@ def candidate_edges(inst: Instance, star_restricted: bool = False) -> tuple[np.n
     return edges, w[order]
 
 
-class _ColorState:
-    """Undoable union-find for one color class (no path compression)."""
-
-    __slots__ = ("bit", "pos", "parent", "rank", "comps", "trail")
-
-    def __init__(self, inst: Instance, c: int):
-        members = inst.color_class(c)
-        self.bit = 1 << (c - 1)
-        self.pos = {int(p): i for i, p in enumerate(members)}
-        self.parent = list(range(members.size))
-        self.rank = [0] * members.size
-        self.comps = members.size
-        self.trail: list[tuple[int, int]] = []
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(self.pos[a]), self.find(self.pos[b])
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-            self.trail.append((rb, -ra - 1))
-        else:
-            self.trail.append((rb, ra))
-        self.comps -= 1
-        return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            child, info = self.trail.pop()
-            self.parent[child] = child
-            if info < 0:
-                self.rank[-info - 1] -= 1
-            self.comps += 1
-
-
-def _split_colors(inst: Instance) -> list[_ColorState]:
-    return [_ColorState(inst, c) for c in range(1, inst.k + 1) if inst.color_class(c).size >= 2]
-
-
 def brute_force(
     inst: Instance, *, star_restricted: bool = False, required: Iterable = ()
 ) -> Solution:
@@ -134,87 +85,75 @@ def brute_force(
     if m > MAX_CANDIDATE_EDGES:
         raise over_budget("oracle", m, "candidate edges", MAX_CANDIDATE_EDGES,
                           "oracle.MAX_CANDIDATE_EDGES")
-    colors = _split_colors(inst)
-    req = {(int(a), int(b)) for a, b in as_edges(required, inst.n)}
+    pairs = [(a, b) for a, b in edges.tolist()]
+    w = weights.tolist()
+    masks = inst.masks.tolist()
+    # The colors with two or more points; for each, the candidate positions
+    # carrying it (ascending weight) and their weights' prefix sums.
+    sizes = {1 << (c - 1): inst.color_class(c).size for c in range(1, inst.k + 1)}
+    bits = [bit for bit, size in sizes.items() if size >= 2]
+    per_color_pos = [[i for i, (a, b) in enumerate(pairs) if masks[a] & masks[b] & bit]
+                     for bit in bits]
+    per_color_pref = [list(accumulate((w[i] for i in pos), initial=0.0)) for pos in per_color_pos]
 
-    # Per color: candidate positions carrying it (ascending weight) + prefix sums.
-    per_color_pos: list[list[int]] = []
-    per_color_pref: list[list[float]] = []
-    for st in colors:
-        pos = [i for i in range(m) if st.pos.get(int(edges[i, 0])) is not None
-               and st.pos.get(int(edges[i, 1])) is not None]
-        pref = [0.0]
-        for i in pos:
-            pref.append(pref[-1] + float(weights[i]))
-        per_color_pos.append(pos)
-        per_color_pref.append(pref)
+    def join(state: tuple, a: int, b: int) -> tuple | None:
+        """The per-color (labels, component count) after adding edge (a, b),
+        or None when the edge joins two components in no color."""
+        shared = masks[a] & masks[b]
+        new = list(state)
+        useful = False
+        for ci, bit in enumerate(bits):
+            labels, comps = state[ci]
+            if shared & bit and labels[a] != labels[b]:
+                old, to = labels[b], labels[a]
+                new[ci] = (tuple(to if x == old else x for x in labels), comps - 1)
+                useful = True
+        return tuple(new) if useful else None
+
+    # Seed the required edges once, up front; the search then walks the
+    # other candidates, since the required ones are in every subset.
+    req = {(int(a), int(b)) for a, b in as_edges(required, inst.n)}
+    cand_index = {pair: i for i, pair in enumerate(pairs)}
+    state = tuple((tuple(range(inst.n)), sizes[bit]) for bit in bits)
+    base_cost = 0.0
+    for pair in sorted(req):
+        if pair not in cand_index:
+            raise RefusalError(f"required edge {pair} is not a candidate edge")
+        state = join(state, *pair) or state
+        base_cost += w[cand_index[pair]]
+    rest = [i for i, pair in enumerate(pairs) if pair not in req]
 
     best_cost = math.inf
     best_edges: tuple[tuple[int, int], ...] | None = None
 
-    def connected() -> bool:
-        return all(st.comps == 1 for st in colors)
-
-    def lower_bound(idx: int, partial: float) -> float:
-        lb_extra = 0.0
-        for ci, st in enumerate(colors):
-            need = st.comps - 1
-            if need <= 0:
-                continue
-            pos = per_color_pos[ci]
-            j = bisect_left(pos, idx)
-            if len(pos) - j < need:
-                return math.inf
-            pref = per_color_pref[ci]
-            lb_extra = max(lb_extra, pref[j + need] - pref[j])
-        return partial + lb_extra
-
-    def record(partial: float, included: list[tuple[int, int]]) -> None:
+    def dfs(k: int, partial: float, included: tuple, state: tuple) -> None:
         nonlocal best_cost, best_edges
-        key = tuple(sorted(included))
-        if partial < best_cost or (partial == best_cost and (best_edges is None or key < best_edges)):
-            best_cost = partial
-            best_edges = key
-
-    # Seed the required edges once, up front; the search then walks the
-    # other candidates, since the required ones are in every subset.
-    base_included: list[tuple[int, int]] = []
-    base_cost = 0.0
-    cand_index = {(int(edges[i, 0]), int(edges[i, 1])): i for i in range(m)}
-    for pair in sorted(req):
-        if pair not in cand_index:
-            raise RefusalError(f"required edge {pair} is not a candidate edge")
-        for st in colors:
-            if pair[0] in st.pos and pair[1] in st.pos:
-                st.union(*pair)
-        base_included.append(pair)
-        base_cost += float(weights[cand_index[pair]])
-    rest = [i for i in range(m) if (int(edges[i, 0]), int(edges[i, 1])) not in req]
-
-    def dfs(k: int, partial: float, included: list[tuple[int, int]]) -> None:
-        if connected():
-            record(partial, included)
+        if all(comps == 1 for _, comps in state):
+            key = tuple(sorted(included))
+            if partial < best_cost or (partial == best_cost and (best_edges is None or key < best_edges)):
+                best_cost, best_edges = partial, key
             return
         if k == len(rest):
             return
         idx = rest[k]
-        if lower_bound(idx, partial) > best_cost:
+        # Bound: per color, the comps - 1 cheapest remaining candidates carrying it.
+        extra = 0.0
+        for (_, comps), pos, pref in zip(state, per_color_pos, per_color_pref):
+            need = comps - 1
+            if need > 0:
+                j = bisect_left(pos, idx)
+                if len(pos) - j < need:
+                    extra = math.inf
+                    break
+                extra = max(extra, pref[j + need] - pref[j])
+        if partial + extra > best_cost:
             return
-        a, b = int(edges[idx, 0]), int(edges[idx, 1])
-        marks = [st.mark() for st in colors]
-        useful = False
-        for st in colors:
-            if a in st.pos and b in st.pos and st.union(a, b):
-                useful = True
-        if useful:
-            included.append((a, b))
-            dfs(k + 1, partial + float(weights[idx]), included)
-            included.pop()
-        for st, mk in zip(colors, marks):
-            st.undo(mk)
-        dfs(k + 1, partial, included)
+        joined = join(state, *pairs[idx])
+        if joined is not None:
+            dfs(k + 1, partial + w[idx], included + (pairs[idx],), joined)
+        dfs(k + 1, partial, included, state)
 
-    dfs(0, base_cost, base_included)
+    dfs(0, base_cost, tuple(sorted(req)), state)
 
     if best_edges is None:
         raise RefusalError("no colored spanning graph exists over the candidate edges")
@@ -287,25 +226,27 @@ def ratio_bench(
 ) -> BenchReport:
     """Compare algorithms against the brute-force optimum over seeded instances.
 
-    Instance sizes cycle through 3..``n_max`` (FormatError below 3); each
-    algorithm's bound is its solutions' certified ``ratio_bound``.  A refusal
-    on one seed is recorded and the run continues; a bad parameter raises
-    (FormatError from the generators, or for an ``allblack`` k other than 3).
+    Instance sizes cycle through 3..``n_max``; each algorithm's bound is its
+    solutions' certified ``ratio_bound``.  A refusal on one seed is recorded
+    and the run continues; a bad parameter raises FormatError before any
+    solve (``seeds`` below 1, ``n_max`` below 3, an unknown algorithm, an
+    ``allblack`` k other than 3, or a generator's own check).
     """
+    runners = {
+        "a1": approx3.approx_a1,
+        "a2": approx3.approx_a2,
+        "exact2": lambda inst: exact2.solve_pair(exact2.project_pair(inst, 1, 2)),
+    }
+    if seeds < 1:
+        raise FormatError(f"seeds must be at least 1, got {seeds}")
     if n_max < 3:
         raise FormatError(f"n_max must be at least 3, got {n_max}")
+    for name in algorithms:
+        if name not in runners:
+            raise FormatError(f"unknown algorithm: {name}")
     if family == "allblack" and k != 3:
         raise FormatError(f"the allblack family has k = 3, got k = {k}")
     report = BenchReport()
-
-    def run_algo(name: str, inst: Instance) -> Solution:
-        if name == "a1":
-            return approx3.approx_a1(inst)
-        if name == "a2":
-            return approx3.approx_a2(inst)
-        if name == "exact2":
-            return exact2.solve_pair(exact2.project_pair(inst, 1, 2))
-        raise ValueError(f"unknown algorithm: {name}")
 
     for seed in range(seeds):
         try:
@@ -316,7 +257,7 @@ def ratio_bench(
             continue
         for name in algorithms:
             try:
-                sol = run_algo(name, inst)
+                sol = runners[name](inst)
             except RefusalError as exc:
                 report.failures.append((seed, name, str(exc)))
                 continue

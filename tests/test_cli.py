@@ -138,6 +138,14 @@ def test_gen_and_bench(tmp_path, capsys):
     for n_max in ("2", "0"):
         assert run("bench", "--n-max", n_max, "--seeds", "2", "--out", str(csv_out)) == 1
         assert "n_max must be at least 3" in capsys.readouterr().err
+    # a rejected run leaves the CSV of the run above as it was
+    before = csv_out.read_text()
+    for seeds in ("0", "-3"):
+        assert run("bench", "--seeds", seeds, "--out", str(csv_out)) == 1
+        assert "seeds must be at least 1" in capsys.readouterr().err
+    assert run("bench", "--algos", "a1,foo", "--seeds", "2", "--out", str(csv_out)) == 1
+    assert "unknown algorithm: foo" in capsys.readouterr().err
+    assert csv_out.read_text() == before
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -286,10 +294,10 @@ def test_prune_component_counts(tmp_path, capsys):
     core.save_instance(inst, str(path))
     assert run("prune", "--input", str(path)) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "color 1: 1 forced edges (2 components) (0,1)",
+        "color 1: 1 forced edge (2 components) (0,1)",
         "color 2: 0 forced edges (1 component)",
         "color 3: 0 forced edges (0 components)",
-        "color 4: 1 forced edges (1 component) (2,3)",
+        "color 4: 1 forced edge (1 component) (2,3)",
     ]
 
 

@@ -1,16 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from mcsg import core, exact2, mst, oracle
+from mcsg import collinear, core, exact2, mst, oracle
 
 
-def naive_optimum(inst: core.Instance) -> float:
+def naive_optimum(inst: core.Instance, required=()) -> float:
     """The cheapest colored spanning graph's cost over every subset of the
-    candidate edges, unpruned: the reference for the branch-and-bound."""
+    candidate edges that holds the ``required`` ones, unpruned: the reference
+    for the branch-and-bound."""
     edges, weights = oracle.candidate_edges(inst)
     pairs = [tuple(e) for e in edges.tolist()]
+    need = sum({1 << pairs.index(tuple(e)) for e in core.as_edges(required, inst.n).tolist()})
     classes = [set(inst.color_class(c).tolist()) for c in range(1, inst.k + 1)]
 
     def spans(members, chosen):
@@ -28,6 +31,8 @@ def naive_optimum(inst: core.Instance) -> float:
 
     best = math.inf
     for subset in range(1 << len(pairs)):
+        if subset & need != need:
+            continue
         chosen = [i for i in range(len(pairs)) if subset >> i & 1]
         cost = float(sum(weights[i] for i in chosen))
         if cost < best and all(spans(members, [pairs[i] for i in chosen]) for members in classes):
@@ -38,6 +43,41 @@ def naive_optimum(inst: core.Instance) -> float:
 def forced_union(inst: core.Instance) -> np.ndarray:
     """The forced edges of every color, in one edge set."""
     return core.merge_edges(*(mst.forced_edges(inst, c) for c in range(1, inst.k + 1)))
+
+
+def lattice(n: int, seed: int) -> core.Instance:
+    """n distinct points of the 3 x 3 integer grid, k = 2: many equal lengths."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(9, size=n, replace=False)
+    masks = rng.integers(1, 4, size=n)
+    masks[:2] = (1, 2)  # both colors present
+    return core.Instance.from_arrays(2, np.stack([cells % 3, cells // 3], axis=1), masks)
+
+
+def digest_corpus():
+    """(instance, keyword arguments) pairs whose oracle solutions are pinned."""
+    fractions = (0.2, 0.5, 0.8)
+    for seed in range(120):
+        yield core.generate_random(3 + seed % 5, 2 + seed % 2, fractions[seed % 3], seed), {}
+    for seed in range(90):  # k = 4 lines of all-multichromatic points have exact cost ties
+        yield core.generate_collinear(3 + seed % 5, 2 + seed % 3, (0.2, 0.5, 1.0)[seed % 3], seed), {}
+    for seed in range(60):
+        yield lattice(3 + seed % 5, seed), {}
+    for seed in range(40):
+        line = core.generate_collinear(3 + seed % 5, 2 + seed % 2, fractions[seed % 3], 100 + seed)
+        yield line, {"star_restricted": True}
+        yield line, {"required": forced_union(line)}
+
+
+# sha256 over the solution_to_json of every digest_corpus solve, one per line;
+# recorded before the search state was rewritten without an undo log
+ORACLE_DIGEST = "492652ebdcf7fc6227f7e4d511365931ee46d40f638860f8d531ed3db5b2fc5a"
+
+
+def test_oracle_outputs_pinned():
+    text = "\n".join(core.solution_to_json(oracle.brute_force(inst, **kw))
+                     for inst, kw in digest_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
 
 
 def test_single_point_and_forced_pair():
@@ -67,6 +107,21 @@ def test_pruned_matches_naive(seed):
     assert oracle.brute_force(inst).cost == pytest.approx(naive_optimum(inst), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_required_matches_naive(seed):
+    # the forced edges, and on odd seeds also the longest candidate, which
+    # raises the optimum on each of those seeds
+    make = core.generate_collinear if seed % 4 >= 2 else core.generate_random
+    inst = make(3 + seed % 4, 2 + seed % 2, 0.5, seed)
+    required = forced_union(inst)
+    if seed % 2:
+        edges, _ = oracle.candidate_edges(inst)
+        required = core.merge_edges(required, edges[-1:])
+    got = oracle.brute_force(inst, required=required)
+    assert got.cost == pytest.approx(naive_optimum(inst, required), rel=1e-12)
+    assert {tuple(e) for e in required.tolist()} <= got.edge_set()
+
+
 def test_star_restriction_drops_spanned_edges():
     inst = core.Instance(2, [(0, 0, {1}), (1, 0, {1, 2}), (2, 0, {1})])
     edges, _ = oracle.candidate_edges(inst, star_restricted=False)
@@ -81,6 +136,22 @@ def test_star_modes_agree_on_collinear(seed):
     a = oracle.brute_force(inst)
     b = oracle.brute_force(inst, star_restricted=True)
     assert a.cost == pytest.approx(b.cost, rel=1e-9)
+
+
+def test_star_filter_follows_near_vertical_lines():
+    # x carries jitter far inside collinear.COLLINEAR_TOL; ordering by x
+    # once made the star filter drop the path's own edges (13.0)
+    xy = [(1 + (-1) ** i * 1e-12, i) for i in range(6)]
+    inst = core.Instance.from_arrays(2, xy, [1, 3, 1, 3, 1, 3])
+    assert oracle.brute_force(inst, star_restricted=True).cost == pytest.approx(7.0)
+    assert oracle.brute_force(inst).cost == pytest.approx(7.0)
+    assert collinear.dp_solve(inst).cost == pytest.approx(7.0)
+
+
+def test_star_filter_refuses_points_off_a_line():
+    inst = core.Instance(1, [(0, 0, {1}), (1, 0, {1}), (0, 1, {1})])
+    with pytest.raises(core.RefusalError, match="not collinear"):
+        oracle.candidate_edges(inst, star_restricted=True)
 
 
 def test_color_shrink_changes_constraints_both_ways():
@@ -130,6 +201,20 @@ def test_ratio_bench_bounds_come_from_the_solutions():
     for n_max in (2, 0, -5):
         with pytest.raises(core.FormatError, match="n_max must be at least 3"):
             oracle.ratio_bench("random", ["a1"], 4, n_max=n_max)
+
+
+@pytest.mark.parametrize("algorithms, seeds, message", [
+    (["a1"], 0, "seeds must be at least 1, got 0"),
+    (["a1"], -3, "seeds must be at least 1, got -3"),
+    (["a1", "foo"], 4, "unknown algorithm: foo"),
+])
+def test_ratio_bench_checks_parameters_before_any_solve(monkeypatch, algorithms, seeds, message):
+    def no_solve(*_, **__):
+        raise AssertionError("solved before the parameter checks")
+
+    monkeypatch.setattr(oracle, "brute_force", no_solve)
+    with pytest.raises(core.FormatError, match=message):
+        oracle.ratio_bench("random", algorithms, seeds)
 
 
 def test_ratio_bench_records_failures_and_csv(tmp_path, monkeypatch):
