@@ -62,11 +62,12 @@ def _is_collinear(inst: Instance) -> bool:
 
 
 def solve_dispatch(inst: Instance, mode: str = "auto") -> Solution:
-    """Pick a solver: exact for k <= 2, DP for collinear inputs, A2 for k = 3,
-    the pairing approximation otherwise and on a line the DP refuses."""
+    """Pick a solver: the DP for collinear inputs with 2 <= k <= K_GUARD,
+    otherwise exact2 for k <= 2, A2 for k = 3 and the pairing approximation;
+    a line the DP refuses goes to the one of those its k picks."""
     if mode == "auto":
         mode = "exact2" if inst.k <= 2 else "a2" if inst.k == 3 else "pairing"
-        if 3 <= inst.k <= collinear.K_GUARD and _is_collinear(inst):
+        if 2 <= inst.k <= collinear.K_GUARD and _is_collinear(inst):
             try:
                 return collinear.dp_solve(inst)
             except RefusalError as dp_refusal:  # over its state budget: approximate instead
@@ -196,7 +197,10 @@ def _read_merge_groups(path: str, n: int) -> tuple[frozenset[int], ...]:
 
 def _cmd_exact2(args) -> int:
     inst = _read_instance(args.input)
-    c1, c2 = (int(x) for x in args.pair.split(","))
+    try:
+        c1, c2 = (int(x) for x in args.pair.split(","))
+    except ValueError:  # a count other than two, or a color that is not an integer
+        raise FormatError(f"--pair needs two colors, as c1,c2; got {args.pair!r}") from None
     merge = _read_merge_groups(args.merge_groups, inst.n) if args.merge_groups else ()
     proj = exact2.project_pair(inst, c1, c2, merge)
     sol = exact2.solve_pair(proj)

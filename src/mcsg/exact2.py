@@ -11,24 +11,27 @@ depend on the partition only.  The search therefore runs over set
 partitions (Bell(m) of them) instead of labelled forests.
 
 Purple points of one ``group_merge`` block are first contracted into one
-*unit*; the distance between units is their cheapest point pair.  A
-partition of the units scores
+*unit*; the distance between units is their cheapest point pair.
+``solve_pair`` fills a table with the MST cost of every subset of the units
+(the block forests) and scores each partition of the units as
 
-    forced cost + sum of block MSTs + each world's Kruskal completion,
+    forced cost + the forests of its blocks + each world's Kruskal completion,
 
-each completion being Kruskal from a union-find in which the forced edges,
-the ``group_merge`` blocks and the partition's blocks are already merged.
-Its only candidate links are the world's EMST edges that the forced-edge
-pruning dropped, one fewer than the purple points: with any blocks
-pre-merged, a minimum completion needs no other pair (see ``mst``).  Every
-score is an upper bound on the cost of the union of its edges, and the
-partition induced by the purple-purple edges of an optimum scores at most
-that optimum, so the winning partition's edges cost exactly the optimum.  Partitions are skipped when forced cost, block MSTs and
-both worlds' completions with every unit merged (a lower bound on any
-partition's completions) already reach the best score; ties keep the first
-partition in ``core.set_partitions`` order.  The search is exponential in the
-number m of purple units only, and is certified against the brute-force
-oracle and, on collinear inputs at any size, against the collinear DP.
+each completion being Kruskal with the forced edges, the ``group_merge``
+blocks and the partition's blocks already merged.  Its only candidate links
+are the world's EMST edges that the forced-edge pruning dropped, one fewer
+than the purple points: with any blocks pre-merged, a minimum completion
+needs no other pair (see ``mst``).  The forests and the completions run
+through one Kruskal loop, ``_kruskal``.  Every score is an upper bound on
+the cost of the union of its edges, and the partition induced by the
+purple-purple edges of an optimum scores at most that optimum, so the
+winning partition's edges cost exactly the optimum.  Partitions are skipped
+when forced cost, forests and both worlds' completions with every unit
+merged (a lower bound on any partition's completions) already reach the
+best score; ties keep the first partition in ``core.set_partitions`` order.
+The search is exponential in the number m of purple units only, and is
+certified against the brute-force oracle and, on collinear inputs at any
+size, against the collinear DP.
 """
 
 from __future__ import annotations
@@ -90,12 +93,6 @@ def project_pair(
     return PairProjection(base=base, pair=(c1, c2), idx=sel, bits=bits, group_merge=tuple(group_merge))
 
 
-def _find(parent: list[int], a: int) -> int:
-    while parent[a] != a:
-        a = parent[a]
-    return a
-
-
 def _block_masks(code: tuple[int, ...]) -> list[int]:
     """Unit bitmask of each block of a restricted-growth string."""
     masks = [0] * (max(code, default=-1) + 1)
@@ -123,82 +120,51 @@ def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
     return merge_blocks, units
 
 
-class _Engine:
-    """Units, block MSTs and both color worlds of one projection; ``trees``
-    maps each color of the pair to its class EMST in the base instance, and
-    is built here when None.  Refuses more than ``M_LIMIT`` purple units."""
+def _kruskal(n: int, items, groups=(), out: list[tuple[int, int]] | None = None) -> float:
+    """Cost of Kruskal over vertices 0..n-1 with each group pre-united.
 
-    def __init__(self, proj: PairProjection, trees: dict[int, np.ndarray] | None):
-        self.merge_blocks, self.units = _units(proj)
-        m = len(self.units)
-        if m > M_LIMIT:
-            raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
-        if trees is None:
-            trees = mst.class_trees(proj.base, proj.pair)
-        self.proj = proj
-        self.pts = proj.base.xy[proj.idx].tolist()
-        self.bits = proj.bits.tolist()
-        # Cheapest point pair per unit pair, ascending by (weight, a, b).
-        d = self.dist
-        self.unit_pairs = sorted(
-            min((d(p, q), min(p, q), max(p, q)) for p in self.units[u] for q in self.units[v]) + (u, v)
-            for u in range(len(self.units))
-            for v in range(u + 1, len(self.units))
-        )
-        self._block_mst: dict[int, tuple[float, list[tuple[int, int]]]] = {}
-        self.forced_edges: list[tuple[int, int]] = []
-        c1, c2 = proj.pair
-        self.worlds = (_World(self, 1, trees[c1]), _World(self, 2, trees[c2]))
-        self.forced_cost = sum(d(a, b) for a, b in self.forced_edges)
-
-    def dist(self, a: int, b: int) -> float:
-        (xa, ya), (xb, yb) = self.pts[a], self.pts[b]
-        dx, dy = xa - xb, ya - yb
-        return math.sqrt(dx * dx + dy * dy)  # mst's length rule, bit for bit
-
-    def block_mst(self, mask: int) -> tuple[float, list[tuple[int, int]]]:
-        """MST (cost, point pairs) of the units in bitmask ``mask``, memoised."""
-        got = self._block_mst.get(mask)
-        if got is None:
-            parent = list(range(len(self.units)))
-            left = mask.bit_count() - 1
-            cost, edges = 0.0, []
-            for w, a, b, u, v in self.unit_pairs:
-                if left == 0:
-                    break
-                if mask >> u & 1 and mask >> v & 1:
-                    ru, rv = _find(parent, u), _find(parent, v)
-                    if ru != rv:
-                        parent[rv] = ru
-                        cost += w
-                        edges.append((a, b))
-                        left -= 1
-            got = self._block_mst[mask] = (cost, edges)
-        return got
-
-    def solve(self, algorithm: str) -> Solution:
-        block_mst, (w0, w1) = self.block_mst, self.worlds
-        floor = self.forced_cost + w0.lower_bound + w1.lower_bound
-        best, best_code = math.inf, ()
-        for code in set_partitions(len(self.units)):
-            forest = sum(block_mst(mask)[0] for mask in _block_masks(code))
-            if floor + forest >= best:
-                continue
-            total = self.forced_cost + forest + w0.complete(code) + w1.complete(code)
-            if total < best:
-                best, best_code = total, code
-        edges = list(self.forced_edges)
-        for mask in _block_masks(best_code):
-            edges.extend(self.block_mst(mask)[1])
-        for world in self.worlds:
-            world.complete(best_code, edges)
-        idx = self.proj.idx
-        base_edges = [(int(idx[a]), int(idx[b])) for a, b in edges]
-        return make_solution(self.proj.base, base_edges, algorithm, ratio_bound=1.0)
+    ``items`` are ``(weight, a, b, x, y)`` in ascending order; an item that
+    joins the sets of x and y adds its weight and, when ``out`` is given,
+    appends ``(a, b)`` to it.  ``groups`` holds ``(label, vertex)`` pairs, and
+    the vertices of one label form a group.  A plain parent list: the block
+    forests and the world completions run here over a million times at
+    m = 11, and routing both through ``mst.kruskal`` or ``mst.UnionFind``
+    made each ``pair-exact`` solve 21-42 % slower.
+    """
+    left = n - 1
+    if left <= 0:
+        return 0.0
+    parent = list(range(n))
+    first: dict[int, int] = {}
+    for g, x in groups:
+        r = first.setdefault(g, x)
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != x:
+            x = parent[x]
+        if x != r:
+            parent[x] = r
+            left -= 1
+    cost = 0.0
+    for w, a, b, x, y in items:
+        if left == 0:
+            break
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[y] = x
+            cost += w
+            left -= 1
+            if out is not None:
+                out.append((a, b))
+    return cost
 
 
-class _World:
-    """One color's forced edges and completion links inside the engine.
+def _world(proj: PairProjection, bit: int, class_tree: np.ndarray, merge_blocks, units, dist):
+    """One color's forced edges, component count, completion links and the
+    component of each unit.
 
     ``class_tree`` is the color class's EMST in base-instance indices.  The
     forced edges are the color's completion with the purple points
@@ -206,60 +172,25 @@ class _World:
     one fewer than the purple points: with the forced edges and any blocks
     pre-merged, a minimum completion needs no other pair.
     """
-
-    def __init__(self, engine: _Engine, bit: int, class_tree: np.ndarray):
-        bits, dist = engine.bits, engine.dist
-        members = [p for p in range(len(bits)) if bits[p] & bit]
-        # the class tree at projection positions; idx is sorted, so the pairs
-        # keep subset_mst's ascending (length, a, b) order
-        tree = np.searchsorted(engine.proj.idx, class_tree).tolist()
-        purple = [p for p in members if bits[p] == 3]
-        forced = mst.kruskal(len(bits), tree, [purple])
-        forced.sort()  # (a, b) order: forced_cost sums them in this order
-        engine.forced_edges.extend(forced)
-        uf = mst.UnionFind(len(bits))
-        for a, b in forced:
+    bits = proj.bits.tolist()
+    members = [p for p in range(len(bits)) if bits[p] & bit]
+    # the class tree at projection positions; idx is sorted, so the pairs
+    # keep subset_mst's ascending (length, a, b) order
+    tree = np.searchsorted(proj.idx, class_tree).tolist()
+    forced = mst.kruskal(len(bits), tree, [[p for p in members if bits[p] == 3]])
+    forced.sort()  # (a, b) order: the forced cost sums them in this order
+    uf = mst.UnionFind(len(bits))
+    for a, b in forced:
+        uf.union(a, b)
+    for block in merge_blocks:
+        inside = [p for p in block if bits[p] & bit]
+        for a, b in zip(inside, inside[1:]):
             uf.union(a, b)
-        for block in engine.merge_blocks:
-            inside = [p for p in block if bits[p] & bit]
-            for a, b in zip(inside, inside[1:]):
-                uf.union(a, b)
-        roots: dict[int, int] = {}
-        comp = {p: roots.setdefault(uf.find(p), len(roots)) for p in members}
-        self.n_comps = len(roots)
-        # EMST edges between components (the forced ones lie inside one)
-        self.links = [(dist(a, b), a, b, comp[a], comp[b]) for a, b in tree if comp[a] != comp[b]]
-        self.unit_comp = [comp[unit[0]] for unit in engine.units]
-        self.lower_bound = self.complete((0,) * len(engine.units))
-
-    def complete(self, code: tuple[int, ...], out: list[tuple[int, int]] | None = None) -> float:
-        """Kruskal completion cost with the blocks of ``code`` pre-merged.
-
-        Appends the chosen links (as point pairs) to ``out`` when given.
-        """
-        left = self.n_comps - 1
-        if left <= 0:
-            return 0.0
-        parent = list(range(self.n_comps))
-        first: dict[int, int] = {}
-        for c, b in zip(self.unit_comp, code):
-            r0 = _find(parent, first.setdefault(b, c))
-            rc = _find(parent, c)
-            if r0 != rc:
-                parent[rc] = r0
-                left -= 1
-        cost = 0.0
-        for w, a, b, ca, cb in self.links:
-            if left == 0:
-                break
-            ra, rb = _find(parent, ca), _find(parent, cb)
-            if ra != rb:
-                parent[rb] = ra
-                cost += w
-                left -= 1
-                if out is not None:
-                    out.append((a, b))
-        return cost
+    roots: dict[int, int] = {}
+    comp = {p: roots.setdefault(uf.find(p), len(roots)) for p in members}
+    # EMST edges between components (the forced ones lie inside one)
+    links = [(dist(a, b), a, b, comp[a], comp[b]) for a, b in tree if comp[a] != comp[b]]
+    return forced, len(roots), links, [comp[unit[0]] for unit in units]
 
 
 def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None) -> Solution:
@@ -272,7 +203,55 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
     to its class EMST in ``proj.base`` (``mst.class_trees``) when the caller
     shares them between solves; they are built here otherwise.
     """
-    return _Engine(proj, trees).solve("exact2")
+    merge_blocks, units = _units(proj)
+    m = len(units)
+    if m > M_LIMIT:
+        raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
+    if trees is None:
+        trees = mst.class_trees(proj.base, proj.pair)
+    pts = proj.base.xy[proj.idx].tolist()
+
+    def dist(a: int, b: int) -> float:
+        (xa, ya), (xb, yb) = pts[a], pts[b]
+        dx, dy = xa - xb, ya - yb
+        return math.sqrt(dx * dx + dy * dy)  # mst's length rule, bit for bit
+
+    w1, w2 = (_world(proj, bit, trees[c], merge_blocks, units, dist)
+              for bit, c in zip((1, 2), proj.pair))
+    forced_edges = w1[0] + w2[0]
+    forced_cost = sum(dist(a, b) for a, b in forced_edges)
+    # cheapest point pair per unit pair, ascending by (weight, a, b)
+    unit_pairs = sorted(
+        min((dist(p, q), min(p, q), max(p, q)) for p in units[u] for q in units[v]) + (u, v)
+        for u in range(m)
+        for v in range(u + 1, m)
+    )
+
+    def inside(mask: int) -> list:
+        return [item for item in unit_pairs if mask >> item[3] & 1 and mask >> item[4] & 1]
+
+    def complete(world, code: tuple[int, ...], out=None) -> float:
+        """The world's Kruskal completion cost with the blocks of ``code`` pre-merged."""
+        _, n, links, unit_comp = world
+        return _kruskal(n, links, zip(code, unit_comp), out)
+
+    forest = [_kruskal(m, inside(mask)) for mask in range(1 << m)]
+    floor = forced_cost + complete(w1, (0,) * m) + complete(w2, (0,) * m)
+    best, best_code = math.inf, ()
+    for code in set_partitions(m):
+        forests = sum(forest[mask] for mask in _block_masks(code))
+        if floor + forests >= best:
+            continue
+        total = forced_cost + forests + complete(w1, code) + complete(w2, code)
+        if total < best:
+            best, best_code = total, code
+    edges = list(forced_edges)
+    for mask in _block_masks(best_code):
+        _kruskal(m, inside(mask), out=edges)
+    complete(w1, best_code, edges)
+    complete(w2, best_code, edges)
+    base_edges = [(int(proj.idx[a]), int(proj.idx[b])) for a, b in edges]
+    return make_solution(proj.base, base_edges, "exact2", ratio_bound=1.0)
 
 
 def spans_projection(proj: PairProjection, edges) -> bool:
@@ -286,7 +265,7 @@ def spans_projection(proj: PairProjection, edges) -> bool:
     chains = [local[(local >= 0).all(axis=1)]]
     for block in _units(proj)[0]:
         for bit in (1, 2):
-            # the block's members of each color, chained as _World merges them
+            # the block's members of each color, chained as _world merges them
             inside = np.array([p for p in block if proj.bits[p] & bit], dtype=np.int64)
             chains.append(np.stack([inside[:-1], inside[1:]], axis=1))
     return is_csg(Instance.from_arrays(2, proj.base.xy[proj.idx], proj.bits),

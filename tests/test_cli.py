@@ -78,6 +78,22 @@ def test_solve_auto_falls_back_where_the_dp_refuses(tmp_path, capsys):
     assert err.rstrip().endswith("(exact2.M_LIMIT)")
 
 
+@pytest.mark.parametrize("n, fraction, seed", [(60, 0.3, 1), (40, 0.5, 2), (200, 0.1, 3)])
+def test_solve_auto_k2_line_goes_to_the_dp(tmp_path, capsys, n, fraction, seed):
+    # 18-20 purple units, over exact2.M_LIMIT: auto mode once sent these to exact2
+    inst = core.generate_collinear(n, 2, fraction, seed)
+    path = tmp_path / "line.json"
+    path.write_text(core.instance_to_json(inst))
+    out = tmp_path / "sol.json"
+    assert run("solve", "--input", str(path), "--output", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["algorithm"] == "dp"
+    assert doc["cost"] == collinear.dp_solve(inst).cost
+    capsys.readouterr()
+    assert run("solve", "--input", str(path), "--mode", "exact2") == 2
+    assert "purple units" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     big = core.generate_random(12, 2, 1.0, 0)
     path = tmp_path / "big.json"
@@ -138,6 +154,9 @@ def test_gen_and_bench(tmp_path, capsys):
     for n_max in ("2", "0"):
         assert run("bench", "--n-max", n_max, "--seeds", "2", "--out", str(csv_out)) == 1
         assert "n_max must be at least 3" in capsys.readouterr().err
+    for algos in ("", " , "):
+        assert run("bench", "--algos", algos, "--seeds", "2", "--out", str(csv_out)) == 1
+        assert "no algorithm to compare" in capsys.readouterr().err
     # a rejected run leaves the CSV of the run above as it was
     before = csv_out.read_text()
     for seeds in ("0", "-3"):
@@ -244,6 +263,15 @@ def test_exact2_rejects_bad_merge_groups(tmp_path, capsys):
         assert run("exact2", "--input", str(path), "--pair", "1,3",
                    "--merge-groups", str(groups)) == 1, doc
         assert "--merge-groups needs" in capsys.readouterr().err, doc
+
+
+def test_exact2_rejects_bad_pair(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(core.instance_to_json(core.generate_random(6, 3, 0.6, 9)))
+    for pair in ("1", "1,2,3", "a,b", "1.5,2", ""):
+        capsys.readouterr()
+        assert run("exact2", "--input", str(path), "--pair", pair) == 1, pair
+        assert "--pair needs two colors, as c1,c2" in capsys.readouterr().err, pair
 
 
 def test_render_deterministic_and_colors(tmp_path):

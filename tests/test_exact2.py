@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,33 @@ def test_spans_projection_matches_union_find_walk():
     # a pair no point carries projects to nothing, which spans
     lone = core.Instance(3, [(0, 0, {1}), (1, 0, {1})])
     assert exact2.spans_projection(exact2.project_pair(lone, 2, 3), [])
+
+
+def _digest_corpus():
+    """Seeded pair projections: k = 2 random and collinear instances with
+    m = 0..8 purple points, 4 x 4 integer lattices (exact length ties), and the
+    three pairs of k = 3 instances with no block, with A2's black block and
+    with a random block of 2-4 points of any colors."""
+    for seed in range(90):
+        m = seed % 9
+        n = m + 2 + seed % 7
+        for gen in (core.generate_random, core.generate_collinear):
+            yield proj(gen(n, 2, (m + 0.5) / n, seed))
+        yield proj(lattice(min(n, 16), 4, 4, min(m, n, 16), seed))
+    for seed in range(40):
+        inst = core.generate_random(4 + seed % 7, 3, 0.5, seed)
+        black = np.flatnonzero(inst.masks == 7).tolist()
+        rng = np.random.default_rng(seed)
+        block = rng.choice(inst.n, size=2 + seed % 3, replace=False).tolist()
+        for c1, c2 in ((1, 2), (1, 3), (2, 3)):
+            for merge in ((), (frozenset(black),) if black else (), (frozenset(block),)):
+                yield exact2.project_pair(inst, c1, c2, merge)
+
+
+def test_outputs_pinned():
+    # 630 solves; the digest of their JSON pins edges, edge order and the
+    # float summation order of every cost
+    digest = hashlib.sha256()
+    for p in _digest_corpus():
+        digest.update(core.solution_to_json(exact2.solve_pair(p)).encode() + b"\n")
+    assert digest.hexdigest() == "4fa50b3e240f72e7790905aeb0626f889abe07197d887a7d19775ee766d7442c"
