@@ -333,16 +333,15 @@ def set_partitions(n: int):
 
 
 def instance_to_json(inst: Instance) -> str:
+    """The JSON instance document, in the bytes ``json.dumps`` writes for
+    ``{"k": k, "points": [{"x": x, "y": y, "colors": [...]}, ...]}``: a float
+    is its ``repr``, and each distinct color set is formatted once."""
     masks = inst.masks.tolist()
-    colors = {m: sorted(colors_of(m)) for m in set(masks)}
-    doc = {
-        "k": inst.k,
-        "points": [
-            {"x": x, "y": y, "colors": colors[m]}
-            for (x, y), m in zip(inst.xy.tolist(), masks)
-        ],
-    }
-    return json.dumps(doc)
+    colors = {m: json.dumps(sorted(colors_of(m))) for m in set(masks)}
+    xs, ys = inst.xy.T.tolist()
+    points = ", ".join([f'{{"x": {x!r}, "y": {y!r}, "colors": {colors[m]}}}'
+                        for x, y, m in zip(xs, ys, masks)])
+    return f'{{"k": {inst.k}, "points": [{points}]}}'
 
 
 def _read_json(source: str | bytes | IO, what: str):
@@ -404,7 +403,7 @@ def solution_to_json(sol: Solution) -> str:
     doc = {
         "algorithm": sol.algorithm,
         "cost": sol.cost,
-        "edges": [[int(a), int(b)] for a, b in sol.edges],
+        "edges": sol.edges.tolist(),
         "ratio_bound": sol.ratio_bound,
     }
     return json.dumps(doc)
@@ -443,38 +442,44 @@ def solution_from_json(source: str | bytes | IO) -> Solution:
 # generators
 
 
-def _random_colors(rng: np.random.Generator, k: int, multi: bool, anchor: int | None) -> list:
-    """One random color set; multichromatic sets have size >= 2."""
-    if multi:
-        size = int(rng.integers(2, k + 1))
-        pool = [c for c in range(1, k + 1) if c != anchor]
-        take = size - 1 if anchor is not None else size
-        chosen = list(rng.choice(pool, size=take, replace=False)) if take else []
-        if anchor is not None:
-            chosen.append(anchor)
-        return chosen
-    if anchor is not None:
-        return [anchor]
-    return [int(rng.integers(1, k + 1))]
-
-
 def _assign_colors(rng: np.random.Generator, n: int, k: int, fraction: float) -> np.ndarray:
+    """Color masks of n generated points, drawn in index order.
+
+    floor(fraction * n) random points get a set of 2..k colors, and when
+    n >= k color c is anchored to one random point, which carries it.  The
+    rest get one uniform color each; a run of them between two special
+    (multichromatic or anchor) points takes one bulk draw, which reads the
+    stream exactly as that many scalar draws do.
+    """
     if not 0.0 <= fraction <= 1.0:
         raise FormatError(f"multichromatic fraction must be in [0, 1], got {fraction}")
     n_multi = int(math.floor(fraction * n))
     if n_multi > 0 and k < 2:
         raise FormatError("multichromatic points require k >= 2")
-    perm = rng.permutation(n)
-    is_multi = np.zeros(n, dtype=bool)
-    is_multi[perm[:n_multi]] = True
+    multi = set(rng.permutation(n)[:n_multi].tolist())
+    bit_of = [0] + [1 << c for c in range(k)]  # bit_of[c] is color c's mask
     # Anchor every color to one point so all classes are nonempty when n >= k.
-    anchor_of = {}
+    anchor_bit = {}
     if n >= k:
-        order = rng.permutation(n)
-        for c in range(1, k + 1):
-            anchor_of[int(order[c - 1])] = c
-    sets = [_random_colors(rng, k, bool(is_multi[i]), anchor_of.get(i)) for i in range(n)]
-    return np.array(color_masks(sets, k), dtype=np.uint32)
+        anchor_bit = dict(zip(rng.permutation(n)[:k].tolist(), bit_of[1:]))
+    bit_array = np.array(bit_of, dtype=np.uint32)
+    masks = np.empty(n, dtype=np.uint32)
+    start = 0
+    for i in sorted(multi | anchor_bit.keys()) + [n]:
+        if i - start == 1:  # a scalar draw is cheaper than an array of one
+            masks[start] = bit_of[rng.integers(1, k + 1)]
+        elif i > start:
+            masks[start:i] = bit_array[rng.integers(1, k + 1, size=i - start)]
+        if i < n:
+            bit = anchor_bit.get(i, 0)
+            if i in multi:
+                size = int(rng.integers(2, k + 1)) - (bit != 0)
+                pool = [b for b in bit_of[1:] if b != bit]
+                # drawing indices reads the stream as drawing from the pool does
+                bit |= sum([pool[j] for j in rng.choice(len(pool), size, replace=False).tolist()])
+            masks[i] = bit
+        start = i + 1
+    return masks
 
 
 def generate_random(n: int, k: int, multichromatic_fraction: float, seed: int) -> Instance:

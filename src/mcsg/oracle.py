@@ -229,8 +229,8 @@ def ratio_bench(
     Instance sizes cycle through 3..``n_max``; each algorithm's bound is its
     solutions' certified ``ratio_bound``.  A refusal on one seed is recorded
     and the run continues; a bad parameter raises FormatError before any
-    solve (``seeds`` below 1, ``n_max`` below 3, no algorithm or an unknown
-    one, an ``allblack`` k other than 3, or a generator's own check).
+    solve (``seeds`` below 1, ``n_max`` below 3, no algorithm, an unknown or
+    repeated one, an ``allblack`` k other than 3, or a generator's own check).
     """
     runners = {
         "a1": approx3.approx_a1,
@@ -243,9 +243,11 @@ def ratio_bench(
         raise FormatError(f"n_max must be at least 3, got {n_max}")
     if not algorithms:
         raise FormatError(f"no algorithm to compare; choose from {', '.join(runners)}")
-    for name in algorithms:
+    for i, name in enumerate(algorithms):
         if name not in runners:
             raise FormatError(f"unknown algorithm: {name}")
+        if name in algorithms[:i]:
+            raise FormatError(f"algorithm named twice: {name}")
     if family == "allblack" and k != 3:
         raise FormatError(f"the allblack family has k = 3, got k = {k}")
     report = BenchReport()

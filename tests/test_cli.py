@@ -164,6 +164,9 @@ def test_gen_and_bench(tmp_path, capsys):
         assert "seeds must be at least 1" in capsys.readouterr().err
     assert run("bench", "--algos", "a1,foo", "--seeds", "2", "--out", str(csv_out)) == 1
     assert "unknown algorithm: foo" in capsys.readouterr().err
+    # a repeated algorithm would write each of its rows twice
+    assert run("bench", "--algos", "a1, a1", "--seeds", "2", "--out", str(csv_out)) == 1
+    assert "algorithm named twice: a1" in capsys.readouterr().err
     assert csv_out.read_text() == before
 
 

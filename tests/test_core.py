@@ -1,6 +1,12 @@
 import hashlib
 import io
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +115,104 @@ def test_instance_json_bytes_pinned():
     assert hashlib.sha256(black.encode()).hexdigest() == (
         "0eda12328d70e1f11c8b554bda73d526617c3af18c97fc4842a2af129b4ec62c"
     )
+
+
+def test_gen_cli_writes_pinned_bytes(tmp_path):
+    # `mcsg gen` end to end: argument parsing, the generator and save_instance
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[1]))
+    for (family, n, k, fraction, seed), digest in JSON_DIGESTS.items():
+        out = tmp_path / f"{family}-{n}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcsg.cli", "gen", family, "--n", str(n), "--k", str(k),
+             "--fraction", str(fraction), "--seed", str(seed), "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (family, n)
+
+
+# sha256 of xy.tobytes() + masks.tobytes() over the grid of
+# test_generators_pinned, recorded before the color draws were batched
+GENERATOR_DIGESTS = {
+    "random": "8f99e93a98ddcf1d2b2234a95e6d9a4cab0216ce014c87eeab783b13ba20d704",
+    "collinear": "cdabeb8a97abb9fd46d51a7b9899f5bfce278e3c6c5a1bd5a364ff9bbad8ac04",
+}
+
+
+def test_generators_pinned():
+    gens = {"random": core.generate_random, "collinear": core.generate_collinear}
+    for family, digest in GENERATOR_DIGESTS.items():
+        h = hashlib.sha256()
+        for n, k, fraction, seed in itertools.product(
+                (1, 2, 3, 7, 30, 200, 4600), (1, 2, 3, 16), (0.0, 0.01, 0.5, 1.0), (0, 1)):
+            if k == 1 and math.floor(fraction * n):
+                with pytest.raises(core.FormatError) as err:
+                    gens[family](n, k, fraction, seed)
+                assert str(err.value) == "multichromatic points require k >= 2"
+                continue
+            inst = gens[family](n, k, fraction, seed)
+            h.update(inst.xy.tobytes() + inst.masks.tobytes())
+        assert h.hexdigest() == digest, family
+
+
+def _reference_colors(rng, k, multi, anchor):
+    if multi:
+        size = int(rng.integers(2, k + 1))
+        pool = [c for c in range(1, k + 1) if c != anchor]
+        take = size - 1 if anchor is not None else size
+        chosen = list(rng.choice(pool, size=take, replace=False)) if take else []
+        if anchor is not None:
+            chosen.append(anchor)
+        return chosen
+    if anchor is not None:
+        return [anchor]
+    return [int(rng.integers(1, k + 1))]
+
+
+def _reference_masks(rng, n, k, fraction):
+    """The generators' colors as first written: one call and scalar draws per
+    point, in index order, and every color set validated by color_masks."""
+    perm = rng.permutation(n)
+    is_multi = np.zeros(n, dtype=bool)
+    is_multi[perm[:math.floor(fraction * n)]] = True
+    anchor_of = {}
+    if n >= k:
+        order = rng.permutation(n)
+        for c in range(1, k + 1):
+            anchor_of[int(order[c - 1])] = c
+    sets = [_reference_colors(rng, k, bool(is_multi[i]), anchor_of.get(i)) for i in range(n)]
+    return np.array(core.color_masks(sets, k), dtype=np.uint32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 16), st.floats(0, 1), st.integers(0, 2**32))
+def test_assign_colors_matches_per_point_reference(n, k, fraction, seed):
+    if k == 1:
+        fraction = 0.0
+    got = core._assign_colors(np.random.default_rng(seed), n, k, fraction)
+    want = _reference_masks(np.random.default_rng(seed), n, k, fraction)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _json_reference(inst):
+    """The per-point dict document that instance_to_json's bytes must match."""
+    return json.dumps({"k": inst.k, "points": [
+        {"x": x, "y": y, "colors": sorted(core.colors_of(m))}
+        for (x, y), m in zip(inst.xy.tolist(), inst.masks.tolist())]})
+
+
+def test_instance_json_matches_json_dumps():
+    coords = (-0.0, 5e-324, 1e300, 0.1, 1e16, -2.5)
+    color_sets = ({16}, {1, 16}, set(range(1, 17)), {3, 5, 7}, {2}, {15, 16})
+    points = [(x, y, color_sets[i % len(color_sets)])
+              for i, (x, y) in enumerate(itertools.product(coords, repeat=2))]
+    for inst in (core.Instance(16, points), core.Instance(16, points[:1]),
+                 core.generate_random(300, 16, 0.5, 1)):
+        text = core.instance_to_json(inst)
+        assert text == _json_reference(inst)
+        again = core.load_instance(text)
+        assert again.k == inst.k and again.masks.tobytes() == inst.masks.tobytes()
+        assert again.xy.tobytes() == inst.xy.tobytes()  # keeps the sign of -0.0
+        assert core.instance_to_json(again) == text
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,11 +385,12 @@ def test_generate_random_contract():
 
 
 def test_generate_random_validation():
-    with pytest.raises(core.FormatError):
+    with pytest.raises(core.FormatError, match=r"^invalid parameters n=0, k=2$"):
         core.generate_random(0, 2, 0.5, 1)
-    with pytest.raises(core.FormatError):
+    with pytest.raises(core.FormatError,
+                       match=r"^multichromatic fraction must be in \[0, 1\], got 1.5$"):
         core.generate_random(5, 2, 1.5, 1)
-    with pytest.raises(core.FormatError):
+    with pytest.raises(core.FormatError, match=r"^multichromatic points require k >= 2$"):
         core.generate_random(5, 1, 0.5, 1)
 
 

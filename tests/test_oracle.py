@@ -208,6 +208,7 @@ def test_ratio_bench_bounds_come_from_the_solutions():
     (["a1"], -3, "seeds must be at least 1, got -3"),
     (["a1", "foo"], 4, "unknown algorithm: foo"),
     ([], 4, "no algorithm to compare; choose from a1, a2, exact2"),
+    (["a1", "a2", "a1"], 4, "algorithm named twice: a1"),
 ])
 def test_ratio_bench_checks_parameters_before_any_solve(monkeypatch, algorithms, seeds, message):
     def no_solve(*_, **__):
