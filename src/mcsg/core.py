@@ -127,8 +127,9 @@ class Instance:
             bad = int(np.flatnonzero(masks >> k)[0])
             raise FormatError(f"color out of range on point {bad} (k={k})")
         # The collinear DP's unique-endpoint rule assumes distinct points.
-        rows = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
+        # Each row read as one complex128 (x + iy) sorts by x, then y.
+        rows = np.sort(np.ascontiguousarray(xy).view(np.complex128).ravel())
+        if (rows[1:] == rows[:-1]).any():
             raise FormatError("coincident points are not allowed")
         xy.setflags(write=False)
         masks.setflags(write=False)

@@ -19,8 +19,15 @@ The decision threshold obeys the counting identity
     sum_c (|S'_c| - kappa_c + mu_c) = 39 r
 
 (active incidences minus chain components plus chain cycles), which makes the
-witness cost land exactly on W; the identity is asserted for every build at
-plan level, and the mst-module recomputation cross-checks it on test corpora.
+witness cost land exactly on W; the identity is asserted for every build on
+the wire layout, and the mst-module recomputation cross-checks it on test
+corpora.
+
+One class, ``GadgetInstance``, holds a build: its constructor lays out the
+actives and wires on the lattice, checks the identity and sets W, all without
+emitting a point; the ``instance`` property materializes the point set (and
+the chain edges) on first use.  ``build_gadget``, ``build_witness`` and
+``compute_w`` are the module-level entry points.
 """
 
 from __future__ import annotations
@@ -98,11 +105,13 @@ def parse_cnf(text: str) -> MonotoneCnf:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "mcnf":
                 raise FormatError(f"bad header: {line!r}")
+            if n_vars is not None:
+                raise FormatError(f"a second header: {line!r}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
             if n_vars < 1:
                 raise FormatError(f"the header needs at least 1 variable: {line!r}")
             continue
-        if parts[0] not in "+-":
+        if parts[0] not in ("+", "-"):
             raise FormatError(f"clause lines must start with '+' or '-': {line!r}")
         if n_vars is None:
             raise FormatError("clause line before header")
@@ -136,6 +145,8 @@ def _validate_embedding(cnf: MonotoneCnf) -> None:
                 lo, hi = max(a[0], b[0]), min(a[1], b[1])
                 if lo > hi:
                     continue  # disjoint
+                if a == b:  # the layout would give both arcs the same lanes
+                    raise FormatError(f"clauses {i} and {j} share the span x{a[0]}..x{a[1]}")
                 if not (a[0] <= b[0] and b[1] <= a[1]) and not (b[0] <= a[0] and a[1] <= b[1]):
                     raise FormatError(
                         f"clauses {i} and {j} overlap without nesting (not laminar)"
@@ -161,7 +172,7 @@ def _clause_depth(cnf: MonotoneCnf, ci: int) -> int:
         if j == ci or other.positive != me.positive:
             continue
         o = (other.vars[0], other.vars[-1])
-        if o[0] <= span[0] and span[1] <= o[1] and o != span:
+        if o[0] <= span[0] and span[1] <= o[1]:
             depth += 1
     return depth
 
@@ -266,7 +277,7 @@ def _wire(color: int, walker: _Walker) -> _Wire:
 
 
 # ---------------------------------------------------------------------------
-# layout
+# the gadget
 
 
 @dataclass
@@ -279,21 +290,26 @@ class _SlotIds:
     names: dict[str, int] = field(default_factory=dict)
 
 
-class _Plan:
-    """Symbolic gadget layout: actives plus chain wires on the eps/5 lattice.
+class GadgetInstance:
+    """A compiled reduction instance: the symbolic layout (actives plus chain
+    wires on the eps/5 lattice), its decision threshold W, and the point set.
 
     Every switch pair uses one template: three through-verticals carrying one
     color each from the trunks past the bottom anchors to the top anchors and
     on to per-column reach rails, plus short riser+let wires giving every
     anchor its two remaining colors.  Clause actives hang off the small
     switch's first anchor and connect only to their clause's arc pair.
+
+    The point set can be very large (chains have spacing epsilon), so it is
+    materialized lazily, and refused when the layout has more than
+    ``MAX_CHAIN_STEPS`` chain steps; counts, W, and the active ids come from
+    the layout.
     """
 
     def __init__(self, cnf: MonotoneCnf):
         self.cnf = cnf
-        self.r = cnf.n_edges
-        self.m = len(cnf.clauses)
-        r = self.r
+        self.r = r = cnf.n_edges
+        self.m_clauses = len(cnf.clauses)
         self.epsilon = 1.0 / (500.0 * r * r)
         self.delta = 1.0 / (10.0 * r)
         self.unit = 2500 * r * r          # lattice units per coordinate unit
@@ -307,6 +323,13 @@ class _Plan:
         self._build()
         self.n_chain_edges = sum(w.step_count() for w in self.wires)
         self._check_identity()
+        # W = sum(E') + 39 r eps + switch terms; by the counting identity the
+        # forced edges are exactly the chain edges minus 39r of them
+        self.W = _plus_switch_terms(self.n_chain_edges * self.epsilon, r, self.m_clauses,
+                                    self.delta)
+        self.active_points = np.arange(13 * r, dtype=np.int64)
+        self._instance: Instance | None = None
+        self._chain_edges: np.ndarray | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -366,9 +389,9 @@ class _Plan:
         eyelets = {
             R_BIT: [-U(60)] + [s * PITCH + U(80) for s in range(self.r)],
             B_BIT: [-U(100)] + [self.clause_slots[ci][0] * PITCH + U(110)
-                                for ci in range(self.m)],
+                                for ci in range(self.m_clauses)],
             Y_BIT: [-U(140)] + [self.clause_slots[ci][0] * PITCH + U(140)
-                                for ci in range(self.m)],
+                                for ci in range(self.m_clauses)],
         }
         for color, trunk_y in ((R_BIT, self.TRUNK_R), (B_BIT, self.TRUNK_B),
                                (Y_BIT, self.TRUNK_Y)):
@@ -574,6 +597,104 @@ class _Plan:
             )
 
 
+    # -- materialization ----------------------------------------------------
+
+    @property
+    def instance(self) -> Instance:
+        if self._instance is None:
+            self._instance, self._chain_edges = self._materialize()
+        return self._instance
+
+    def chain_edges(self) -> np.ndarray:
+        """Every consecutive chain pair, as point indices (materializes)."""
+        self.instance
+        return self._chain_edges
+
+    def _materialize(self) -> tuple[Instance, np.ndarray]:
+        if self.n_chain_edges > MAX_CHAIN_STEPS:
+            raise over_budget("gadget", self.n_chain_edges, "chain steps", MAX_CHAIN_STEPS,
+                              "gadgets.MAX_CHAIN_STEPS")
+        per_wire = [_expand_wire(w) for w in self.wires]
+        active_arr = np.array(self.active_xy, dtype=np.int64).reshape(-1, 2)
+        coords = np.concatenate([active_arr] + per_wire, axis=0)
+        uniq, inv = _unique_rows(coords)
+        n_active = active_arr.shape[0]
+        n_unique = uniq.shape[0]
+        # ids: actives first (in declaration order), then the rest by lattice order
+        new_id = np.full(n_unique, -1, dtype=np.int64)
+        new_id[inv[:n_active]] = np.arange(n_active)
+        if np.unique(inv[:n_active]).size != n_active:
+            raise AssertionError("two active points collided")
+        rest = np.flatnonzero(new_id < 0)
+        new_id[rest] = n_active + np.arange(rest.size)
+        ids = new_id[inv]
+        xy5 = np.empty_like(uniq)
+        xy5[new_id] = uniq
+
+        # masks: chain points carry their wire's color, actives as declared.
+        # A chain coordinate shared between wires must agree on the color, so
+        # it must read back the color that each of its wires wrote
+        sizes = [pts.shape[0] for pts in per_wire]
+        wire_ids = ids[n_active:]
+        colors = np.repeat(np.array([w.color for w in self.wires], dtype=np.uint32), sizes)
+        masks = np.zeros(n_unique, dtype=np.uint32)
+        masks[wire_ids] = colors
+        clash = (masks[wire_ids] != colors) & (wire_ids >= n_active)
+        if clash.any():
+            bad = wire_ids[np.argmax(clash)]
+            raise AssertionError(f"wires of different colors collide at point {xy5[bad]}")
+        masks[ids[:n_active]] = np.array(self.active_mask, dtype=np.uint32)
+
+        # chain edges: consecutive pairs, except across a wire boundary
+        inner = np.ones(wire_ids.size - 1, dtype=bool)
+        inner[np.cumsum(sizes)[:-1] - 1] = False
+        chain = as_edges(np.stack([wire_ids[:-1][inner], wire_ids[1:][inner]], axis=1))
+
+        scale = self.epsilon / 5.0
+        inst = Instance.from_arrays(3, xy5.astype(np.float64) * scale, masks)
+        # chain steps must all have length exactly epsilon
+        lengths = np.hypot(
+            inst.xy[chain[:, 0], 0] - inst.xy[chain[:, 1], 0],
+            inst.xy[chain[:, 0], 1] - inst.xy[chain[:, 1], 1],
+        )
+        if not np.allclose(lengths, self.epsilon, rtol=1e-9, atol=0.0):
+            raise AssertionError("a chain step deviates from epsilon")
+        return inst, chain
+
+    # -- switch states ------------------------------------------------------
+
+    def pattern_edges(self, assignment, chosen: dict[int, int]) -> list[tuple[int, int]]:
+        """Switch edges of the standard solution for a satisfying assignment.
+
+        ``chosen`` maps clause index -> slot index of the satisfying literal
+        wired in the 4-edge state.
+        """
+        values = [bool(v) for v in assignment]
+        out: list[tuple[int, int]] = []
+        for s, ids in enumerate(self.slots):
+            up = values[ids.var - 1]
+            n = ids.names
+            big = ("T1", "T2", "T3") if up else ("B1", "B2", "B3")
+            out += [(n[big[0]], n[big[1]]), (n[big[0]], n[big[2]]), (n[big[1]], n[big[2]])]
+            if chosen.get(ids.clause) == s:
+                same = ("t1", "t3") if ids.positive else ("b1", "b3")
+                other = ("b1", "b3", "b2") if ids.positive else ("t1", "t3", "t2")
+                out += [
+                    (n["CL"], n[same[1]]),
+                    (n[same[0]], n[same[1]]),
+                    (n[other[0]], n[other[1]]),
+                    (n[other[2]], n[other[1]]),
+                ]
+            else:
+                small = ("t1", "t2", "t3") if up else ("b1", "b2", "b3")
+                out += [
+                    (n[small[0]], n[small[1]]),
+                    (n[small[0]], n[small[2]]),
+                    (n[small[1]], n[small[2]]),
+                ]
+        return out
+
+
 # ---------------------------------------------------------------------------
 # materialization and the public surface
 
@@ -611,132 +732,6 @@ def _unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords[order[first]], inv
 
 
-@dataclass(eq=False)
-class GadgetInstance:
-    """A compiled reduction instance plus its decision threshold metadata.
-
-    The point set can be very large (chains have spacing epsilon), so it is
-    materialized lazily, and refused when the plan has more than
-    ``MAX_CHAIN_STEPS`` chain steps; counts, W, and the active ids come from
-    the plan.
-    """
-
-    cnf: MonotoneCnf
-    r: int
-    m_clauses: int
-    epsilon: float
-    delta: float
-    W: float
-    active_points: np.ndarray
-    _plan: _Plan
-    _cache: dict = field(default_factory=dict)
-
-    @property
-    def instance(self) -> Instance:
-        got = self._cache.get("instance")
-        if got is None:
-            got = self._materialize()
-            self._cache["instance"] = got
-        return got
-
-    def chain_edges(self) -> np.ndarray:
-        """Every consecutive chain pair, as point indices (materializes)."""
-        self.instance
-        return self._cache["chain_edges"]
-
-    def _materialize(self) -> Instance:
-        plan = self._plan
-        if plan.n_chain_edges > MAX_CHAIN_STEPS:
-            raise over_budget("gadget", plan.n_chain_edges, "chain steps", MAX_CHAIN_STEPS,
-                              "gadgets.MAX_CHAIN_STEPS")
-        per_wire = [_expand_wire(w) for w in plan.wires]
-        active_arr = np.array(plan.active_xy, dtype=np.int64).reshape(-1, 2)
-        coords = np.concatenate([active_arr] + per_wire, axis=0)
-        uniq, inv = _unique_rows(coords)
-        n_active = active_arr.shape[0]
-        n_unique = uniq.shape[0]
-        # ids: actives first (in declaration order), then the rest by lattice order
-        new_id = np.full(n_unique, -1, dtype=np.int64)
-        new_id[inv[:n_active]] = np.arange(n_active)
-        if np.unique(inv[:n_active]).size != n_active:
-            raise AssertionError("two active points collided")
-        rest = np.flatnonzero(new_id < 0)
-        new_id[rest] = n_active + np.arange(rest.size)
-        ids = new_id[inv]
-
-        # masks: actives as declared; chain points carry their wire's color;
-        # any coordinate shared between wires must agree on the color
-        masks = np.zeros(n_unique, dtype=np.uint32)
-        xy5 = np.empty_like(uniq)
-        xy5[new_id] = uniq
-        masks[ids[:n_active]] = np.array(plan.active_mask, dtype=np.uint32)
-        pos = n_active
-        for w, pts in zip(plan.wires, per_wire):
-            chunk = ids[pos : pos + pts.shape[0]]
-            current = masks[chunk]
-            conflict = (current != 0) & (current != w.color) & (chunk >= n_active)
-            if conflict.any():
-                bad = chunk[conflict][0]
-                raise AssertionError(f"wires of different colors collide at point {xy5[bad]}")
-            fresh = chunk >= n_active
-            masks[chunk[fresh]] = w.color
-            pos += pts.shape[0]
-
-        # chain edges: consecutive pairs per wire
-        edges = []
-        pos = n_active
-        for pts in per_wire:
-            chunk = ids[pos : pos + pts.shape[0]]
-            edges.append(np.stack([chunk[:-1], chunk[1:]], axis=1))
-            pos += pts.shape[0]
-        chain = as_edges(np.concatenate(edges, axis=0))
-        self._cache["chain_edges"] = chain
-
-        scale = self.epsilon / 5.0
-        inst = Instance.from_arrays(3, xy5.astype(np.float64) * scale, masks)
-        # chain steps must all have length exactly epsilon
-        lengths = np.hypot(
-            inst.xy[chain[:, 0], 0] - inst.xy[chain[:, 1], 0],
-            inst.xy[chain[:, 0], 1] - inst.xy[chain[:, 1], 1],
-        )
-        if not np.allclose(lengths, self.epsilon, rtol=1e-9, atol=0.0):
-            raise AssertionError("a chain step deviates from epsilon")
-        return inst
-
-    # -- switch states ------------------------------------------------------
-
-    def pattern_edges(self, assignment, chosen: dict[int, int]) -> list[tuple[int, int]]:
-        """Switch edges of the standard solution for a satisfying assignment.
-
-        ``chosen`` maps clause index -> slot index of the satisfying literal
-        wired in the 4-edge state.
-        """
-        values = [bool(v) for v in assignment]
-        out: list[tuple[int, int]] = []
-        for s, ids in enumerate(self._plan.slots):
-            up = values[ids.var - 1]
-            n = ids.names
-            big = ("T1", "T2", "T3") if up else ("B1", "B2", "B3")
-            out += [(n[big[0]], n[big[1]]), (n[big[0]], n[big[2]]), (n[big[1]], n[big[2]])]
-            if chosen.get(ids.clause) == s:
-                same = ("t1", "t3") if ids.positive else ("b1", "b3")
-                other = ("b1", "b3", "b2") if ids.positive else ("t1", "t3", "t2")
-                out += [
-                    (n["CL"], n[same[1]]),
-                    (n[same[0]], n[same[1]]),
-                    (n[other[0]], n[other[1]]),
-                    (n[other[2]], n[other[1]]),
-                ]
-            else:
-                small = ("t1", "t2", "t3") if up else ("b1", "b2", "b3")
-                out += [
-                    (n[small[0]], n[small[1]]),
-                    (n[small[0]], n[small[2]]),
-                    (n[small[1]], n[small[2]]),
-                ]
-        return out
-
-
 def _plus_switch_terms(base: float, r: int, m: int, delta: float) -> float:
     """base + r(2+2√2) + rδ(2+2√2) + mδ(2√2−2), added left to right."""
     return (
@@ -749,22 +744,7 @@ def _plus_switch_terms(base: float, r: int, m: int, delta: float) -> float:
 
 def build_gadget(cnf: MonotoneCnf) -> GadgetInstance:
     """Compile a monotone planar CNF into a 3-color gadget instance."""
-    plan = _Plan(cnf)
-    r, m = plan.r, plan.m
-    eps, delta = plan.epsilon, plan.delta
-    # W = sum(E') + 39 r eps + switch terms; by the counting identity the
-    # forced edges are exactly the chain edges minus 39r of them
-    w_value = _plus_switch_terms(plan.n_chain_edges * eps, r, m, delta)
-    return GadgetInstance(
-        cnf=cnf,
-        r=r,
-        m_clauses=m,
-        epsilon=eps,
-        delta=delta,
-        W=w_value,
-        active_points=np.arange(13 * r, dtype=np.int64),
-        _plan=plan,
-    )
+    return GadgetInstance(cnf)
 
 
 def build_witness(g: GadgetInstance, assignment) -> Solution:
@@ -782,8 +762,8 @@ def build_witness(g: GadgetInstance, assignment) -> Solution:
     chosen: dict[int, int] = {}
     for ci, c in enumerate(g.cnf.clauses):
         want = True if c.positive else False
-        for s in g._plan.clause_slots[ci]:
-            if values[g._plan.slots[s].var - 1] == want:
+        for s in g.clause_slots[ci]:
+            if values[g.slots[s].var - 1] == want:
                 chosen[ci] = s
                 break
     edges = merge_edges(g.chain_edges(), g.pattern_edges(values, chosen))

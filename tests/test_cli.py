@@ -209,6 +209,24 @@ def test_gen_gadget_rejects_formula_without_clauses_or_variables(tmp_path, capsy
         assert not inst_out.exists(), text
 
 
+def test_gen_gadget_rejects_bad_formulas(tmp_path, capsys):
+    # a '+-' marker, a second header, and two clauses of one side over one
+    # span, whose arcs the layout would put in the same lanes
+    cnf = tmp_path / "f.cnf"
+    inst_out = tmp_path / "gadget.json"
+    for text, message in (("p mcnf 2 1\n+- 1 2\n", "must start with '+' or '-'"),
+                          ("p mcnf 5 1\n+ 4 5\np mcnf 2 1\n", "second header"),
+                          ("p mcnf 2 2\n+ 1 2\n+ 1 2\n", "clauses 0 and 1 share the span"),
+                          ("p mcnf 3 2\n+ 1 3\n+ 1 2 3\n", "clauses 0 and 1 share the span"),
+                          ("p mcnf 3 2\n- 1 3\n- 1 2 3\n", "clauses 0 and 1 share the span")):
+        cnf.write_text(text)
+        capsys.readouterr()
+        assert run("gen", "gadget", "--cnf", str(cnf), "--out", str(inst_out)) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (text, err)
+        assert not inst_out.exists(), text
+
+
 def test_gen_gadget_refuses_over_size_budget(tmp_path, capsys):
     # six two-variable clauses, r = 12: 199,432,260 chain steps would take
     # tens of GB to materialise

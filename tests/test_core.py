@@ -456,6 +456,17 @@ def test_coincident_points_found_in_any_order():
         core.Instance(1, [(1, 2, {1}), (1, 3, {1}), (0, 0, {1}), (1, 2, {1})])
     # equal x or equal y alone is not a coincidence
     assert core.Instance(1, [(1, 2, {1}), (1, 3, {1}), (2, 2, {1})]).n == 3
+    # -0.0 and 0.0 are one coordinate
+    with pytest.raises(core.FormatError, match="coincident"):
+        core.Instance(1, [(0.0, 1.0, {1}), (5, 5, {1}), (-0.0, 1.0, {1})])
+    with pytest.raises(core.FormatError, match="coincident"):
+        core.Instance(1, [(1.0, -0.0, {1}), (5, 5, {1}), (1.0, 0.0, {1})])
+    # a Fortran-ordered input, whose rows are not contiguous
+    xy = np.asfortranarray([[3.0, 1.0], [1.0, 3.0], [2.0, 2.0], [1.0, 3.0]])
+    with pytest.raises(core.FormatError, match="coincident"):
+        core.Instance.from_arrays(1, xy, np.ones(4, dtype=np.uint32))
+    inst = core.Instance.from_arrays(1, xy[:3], np.ones(3, dtype=np.uint32))
+    assert inst.xy.tolist() == [[3.0, 1.0], [1.0, 3.0], [2.0, 2.0]]
 
 
 def test_as_edges_orients_sorts_and_dedupes():

@@ -18,12 +18,12 @@ def test_parse_and_validate():
 
 def test_size_budget_refuses_every_materialising_call(monkeypatch):
     g = gadgets.build_gadget(gadgets.parse_cnf("p mcnf 2 1\n+ 1 2\n"))
-    monkeypatch.setattr(gadgets, "MAX_CHAIN_STEPS", g._plan.n_chain_edges - 1)
+    monkeypatch.setattr(gadgets, "MAX_CHAIN_STEPS", g.n_chain_edges - 1)
     for call in (lambda: g.instance, g.chain_edges, lambda: gadgets.compute_w(g),
                  lambda: gadgets.build_witness(g, [True, False])):
         with pytest.raises(core.RefusalError, match=r"\(gadgets\.MAX_CHAIN_STEPS\)$"):
             call()
-    assert not g._cache
+    assert g._instance is None and g._chain_edges is None  # nothing materialised
 
 
 def test_parse_errors():
@@ -39,6 +39,19 @@ def test_parse_errors():
         gadgets.parse_cnf("p mcnf 4 2\n+ 1 3\n+ 2 4\n")
     with pytest.raises(core.FormatError, match="lies inside"):
         gadgets.parse_cnf("p mcnf 5 2\n+ 1 3 5\n+ 2 4\n")
+    # '+-' is not a clause marker, and one header only
+    with pytest.raises(core.FormatError, match="must start with"):
+        gadgets.parse_cnf("p mcnf 2 1\n+- 1 2\n")
+    with pytest.raises(core.FormatError, match="second header"):
+        gadgets.parse_cnf("p mcnf 5 1\n+ 4 5\np mcnf 2 1\n")
+    # two clauses of one side over the same first and last variable
+    for text, pair in (("p mcnf 2 2\n+ 1 2\n+ 1 2\n", "0 and 1"),
+                       ("p mcnf 3 2\n+ 1 3\n+ 1 2 3\n", "0 and 1"),
+                       ("p mcnf 3 3\n- 1 3\n+ 1 3\n- 1 2 3\n", "0 and 2")):
+        with pytest.raises(core.FormatError, match=f"clauses {pair} share the span x1"):
+            gadgets.parse_cnf(text)
+    # the same span on opposite sides is fine
+    assert len(gadgets.parse_cnf("p mcnf 3 2\n+ 1 3\n- 1 2 3\n").clauses) == 2
     # no clauses (r = 0 would divide by zero in the layout), or no variables
     for text in ("p mcnf 3 0\n", "p mcnf 1 0\n", "p mcnf 0 0\n", "p mcnf -2 0\n"):
         with pytest.raises(core.FormatError, match="at least 1"):
@@ -88,7 +101,7 @@ def test_chain_spacing_exact(small_gadget):
 def test_switch_candidate_lengths(small_gadget):
     g = small_gadget
     inst = g.instance
-    slot = g._plan.slots[0]
+    slot = g.slots[0]
     names = slot.names
     for trio, scale in ((("T1", "T2", "T3"), 1.0), (("t1", "t2", "t3"), g.delta)):
         a, b, c = (names[t] for t in trio)
@@ -106,9 +119,8 @@ def test_switch_candidate_lengths(small_gadget):
 
 def test_switch_separation_exceeds_six(small_gadget):
     inst = small_gadget.instance
-    plan = small_gadget._plan
     groups = []
-    for slot in plan.slots:
+    for slot in small_gadget.slots:
         n = slot.names
         groups.append([n["T1"], n["T2"], n["T3"]])
         groups.append([n["B1"], n["B2"], n["B3"]])
@@ -155,7 +167,7 @@ def test_unsatisfied_clause_disconnects(small_gadget):
 def test_w_formula_terms(small_gadget):
     g = small_gadget
     r, m, eps, delta = g.r, g.m_clauses, g.epsilon, g.delta
-    chains = g._plan.n_chain_edges * eps
+    chains = g.n_chain_edges * eps
     expected = chains + r * (2 + 2 * SQRT2) + r * delta * (2 + 2 * SQRT2) + m * delta * (2 * SQRT2 - 2)
     assert g.W == pytest.approx(expected, rel=1e-12)
     # the switch accounting identity from the reduction
@@ -196,7 +208,7 @@ def test_nested_clauses_build():
 
 def _anchor_graph_reference(plan, color):
     """The quadratic segment scan: every registered point against every wire
-    segment.  Kept to check the indexed scan of ``_Plan._anchor_graph``."""
+    segment.  Kept to check the indexed scan of ``GadgetInstance._anchor_graph``."""
     wires = [w for w in plan.wires if w.color == color]
     registered = {p for w in wires for p in w.pts}
     for aid, m in enumerate(plan.active_mask):
@@ -250,8 +262,8 @@ def _anchor_graph_reference(plan, color):
 
 def _anchor_graph_summary(plan, color):
     """Vertex, edge and component counts and the components of
-    ``_Plan._anchor_graph``, in the reference's form."""
-    n_v, n_e, comps = gadgets._Plan._anchor_graph(plan, color)
+    ``GadgetInstance._anchor_graph``, in the reference's form."""
+    n_v, n_e, comps = gadgets.GadgetInstance._anchor_graph(plan, color)
     return n_v, n_e, len(comps), {frozenset(c) for c in comps}
 
 
@@ -270,7 +282,7 @@ ANCHOR_CNFS = (
 
 def test_anchor_graph_matches_quadratic_scan():
     for text in ANCHOR_CNFS:
-        plan = gadgets.build_gadget(gadgets.parse_cnf(text))._plan
+        plan = gadgets.build_gadget(gadgets.parse_cnf(text))
         for color in (gadgets.R_BIT, gadgets.B_BIT, gadgets.Y_BIT):
             assert _anchor_graph_summary(plan, color) == _anchor_graph_reference(plan, color), \
                 (text, color)
@@ -300,6 +312,33 @@ def test_anchor_graph_matches_quadratic_scan_on_random_wires():
             assert _anchor_graph_summary(plan, color) == _anchor_graph_reference(plan, color), trial
 
 
+PLAN_DIGESTS = (
+    "f234290f52bb4cab487929b5a3ac25c502e69f711ea67b123d2fbbdd3f593c7b",
+    "b570e1b0046fb527033435bce24691880f3cd01a237fb5cd8ca9d95656dab60d",
+    "bd91d0cee5b9c8578e22576c613abe98bc116aaf4f8a091a5004f3c720ebf626",
+    "4d5b52ed73a710dbdf2800de658be0de84824f2136abfde4bf5d405eba171c1d",
+    "e300643298dba622cf5c012d2ea0277c75de9f1f8f699cfdff3314019d441179",
+    "fd831c4548f211f043a5520adc5d84b145013ae4439a5e0b371ced9d4e340c14",
+    "4185a7cf9f38fc3a6fc2bf6f5ee6875df036cfdbe3202118d854e26260cbf754",
+    "cba7225d1494ff08507bc9b804a6d0fb1daf55d766b9c8cfb21c908749a5f9be",
+    "f7c5a02a87f6ba61b86bd69d0411b9049fe50f675d2c981d3d6c8493b51ab8d7",
+)
+
+
+def test_plan_pinned():
+    # sha256 of repr(W), the chain step count, the actives and every wire's
+    # color and waypoints, per ANCHOR_CNFS entry (r 2-12), recorded before
+    # the layout and the gadget object became one class
+    for text, want in zip(ANCHOR_CNFS, PLAN_DIGESTS, strict=True):
+        g = gadgets.build_gadget(gadgets.parse_cnf(text))
+        h = hashlib.sha256()
+        for part in (g.W, g.n_chain_edges, g.active_xy, g.active_mask):
+            h.update(repr(part).encode())
+        for w in g.wires:
+            h.update(repr((w.color, w.pts)).encode())
+        assert h.hexdigest() == want, text
+
+
 def test_small_gadget_bytes_pinned(small_gadget):
     # sha256 of instance_to_json, recorded before materialisation and the
     # encoder stopped using np.unique and per-point Python
@@ -307,3 +346,40 @@ def test_small_gadget_bytes_pinned(small_gadget):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "61b68785591f97ab1faeb6084b9c682de64f8a46580995ce8e5fbde3dc15fc10"
     )
+
+
+def test_materialised_wires_match_per_wire_loop(small_gadget):
+    # The per-wire loop that colored the chain points and listed the chain
+    # pairs before one array pass did both, kept as the reference; the chain
+    # edges' sha256 was recorded with the loop
+    g = small_gadget
+    inst = g.instance
+    lattice = np.rint(inst.xy / (g.epsilon / 5)).astype(np.int64).tolist()
+    index = {(x, y): i for i, (x, y) in enumerate(lattice)}
+    n_active = len(g.active_xy)
+    masks = np.zeros(inst.n, dtype=np.uint32)
+    pairs = []
+    for w in g.wires:
+        ids = [index[x, y] for x, y in gadgets._expand_wire(w).tolist()]
+        for i in ids:
+            if i >= n_active:
+                assert masks[i] in (0, w.color), i
+                masks[i] = w.color
+        pairs += zip(ids, ids[1:])
+    masks[:n_active] = g.active_mask
+    assert np.array_equal(masks, inst.masks)
+    chain = g.chain_edges()
+    assert np.array_equal(chain, core.as_edges(pairs))
+    assert hashlib.sha256(chain.tobytes()).hexdigest() == (
+        "62712239794564f8aea5d52212255ff6cd66a775bdec97eda7bc5ed84685c201"
+    )
+
+
+def test_materialise_rejects_wires_of_two_colors_on_one_point():
+    g = gadgets.build_gadget(gadgets.parse_cnf("p mcnf 2 1\n+ 1 2\n"))
+    w = g.wires[5]
+    other = gadgets.B_BIT if w.color == gadgets.R_BIT else gadgets.R_BIT
+    g.wires.append(gadgets._Wire(color=other, pts=w.pts))
+    with pytest.raises(AssertionError, match="wires of different colors collide"):
+        g.instance
+    assert g._instance is None and g._chain_edges is None
