@@ -23,6 +23,7 @@ from .core import (
     Instance,
     RefusalError,
     Solution,
+    _read_json,
     is_csg,
     load_instance,
     make_solution,
@@ -187,7 +188,7 @@ def _cmd_solve(args) -> int:
 def _read_merge_groups(path: str, n: int) -> tuple[frozenset[int], ...]:
     """A JSON list of lists of point indices in 0..n-1."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _read_json(fh, "--merge-groups")
     if not (isinstance(doc, list) and all(
             isinstance(grp, list) and all(type(i) is int and 0 <= i < n for i in grp)
             for grp in doc)):

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (Instance, RefusalError, Solution, costs_equal, is_csg, make_solution,
                    over_budget, set_partitions)
-from .mst import UnionFind
 
 # The most colors a line may have: the gamma-sets of a cut range over subsets
 # of the 2^k - 1 color sets.
@@ -186,30 +185,24 @@ def _hat_key(key: int, width: int) -> tuple[tuple[int, ...], int, int, int]:
     return tuple(prev_pos), size, starts, anchored if key & 1 else -1
 
 
-def _hat_b(prev_pos: tuple[int, ...], starts: int, rgs: tuple[int, ...]) -> tuple[int, ...]:
+def _hat_b(prev_pos: tuple[int, ...], starts: int, anchored: int,
+           rgs: tuple[int, ...]) -> tuple[int, ...] | None:
     """Endpoint-level hat: partition the previous cut's right endpoints.
 
     The next cut's endpoints are 0..s-1 in blocks ``rgs`` (s = len(rgs)), and
     p_i is s.  ``prev_pos`` names each previous endpoint among these, and bit
-    j of ``starts`` is set if an edge from p_i reaches next endpoint j.
+    j of ``starts`` is set if an edge from p_i reaches next endpoint j.  The
+    blocks that an edge from p_i reaches join p_i's class, and every other
+    block is a class of its own.  ``anchored`` is ``_hat_key``'s anchored
+    mask: unless it is -1, (d2) needs one of those reached blocks to hold an
+    anchored endpoint, and None says it does not.
     """
-    if len(prev_pos) <= 1:
-        return (0,) * len(prev_pos)
-    size = len(rgs)
-    uf = UnionFind(size + 1)
-    first: dict[int, int] = {}
-    for j, block in enumerate(rgs):
-        uf.union(first.setdefault(block, j), j)
-        if starts >> j & 1:
-            uf.union(size, j)
-    remap: dict[int, int] = {}
-    return tuple(remap.setdefault(uf.find(p), len(remap)) for p in prev_pos)
-
-
-def _d2_color_ok(rgs: tuple[int, ...], starts: int, anchored: int) -> bool:
-    """Per-color (d2) alternative: a p_i edge tied to an anchored suffix comp."""
-    start_classes = {r for j, r in enumerate(rgs) if starts >> j & 1}
-    return any(anchored >> j & 1 and r in start_classes for j, r in enumerate(rgs))
+    reached = {r for j, r in enumerate(rgs) if starts >> j & 1}
+    if anchored >= 0 and not any(anchored >> j & 1 and r in reached for j, r in enumerate(rgs)):
+        return None
+    size, remap = len(rgs), {}
+    return tuple(remap.setdefault(-1 if p == size or rgs[p] in reached else rgs[p], len(remap))
+                 for p in prev_pos)
 
 
 def _dp(prep: _Prep, stats: DpStats):
@@ -261,9 +254,9 @@ def _dp(prep: _Prep, stats: DpStats):
             prev_pos, size, starts, anchored = shape
             mp: dict[int, list[int]] = {}
             for rgs in partitions_of(size):
-                if anchored >= 0 and not _d2_color_ok(rgs, starts, anchored):
-                    continue
-                mp.setdefault(rgs_id(_hat_b(prev_pos, starts, rgs)), []).append(rgs_id(rgs))
+                hat = _hat_b(prev_pos, starts, anchored, rgs)
+                if hat is not None:
+                    mp.setdefault(rgs_id(hat), []).append(rgs_id(rgs))
             got = -1
             if mp:
                 got = len(hat_list)

@@ -348,9 +348,9 @@ def instance_to_json(inst: Instance) -> str:
 def _read_json(source: str | bytes | IO, what: str):
     """The JSON document in text, UTF-8 bytes or a readable file; FormatError
     naming ``what`` if it does not decode or parse."""
-    if hasattr(source, "read"):
-        source = source.read()
     try:
+        if hasattr(source, "read"):
+            source = source.read()
         return json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"malformed {what} document: {exc}") from exc

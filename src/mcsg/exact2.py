@@ -22,7 +22,7 @@ blocks and the partition's blocks already merged.  Its only candidate links
 are the world's EMST edges that the forced-edge pruning dropped, one fewer
 than the purple points: with any blocks pre-merged, a minimum completion
 needs no other pair (see ``mst``).  The forests and the completions run
-through one Kruskal loop, ``_kruskal``.  Every score is an upper bound on
+through ``mst.kruskal``, the library's one Kruskal loop.  Every score is an upper bound on
 the cost of the union of its edges, and the partition induced by the
 purple-purple edges of an optimum scores at most that optimum, so the
 winning partition's edges cost exactly the optimum.  Partitions are skipped
@@ -120,48 +120,6 @@ def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
     return merge_blocks, units
 
 
-def _kruskal(n: int, items, groups=(), out: list[tuple[int, int]] | None = None) -> float:
-    """Cost of Kruskal over vertices 0..n-1 with each group pre-united.
-
-    ``items`` are ``(weight, a, b, x, y)`` in ascending order; an item that
-    joins the sets of x and y adds its weight and, when ``out`` is given,
-    appends ``(a, b)`` to it.  ``groups`` holds ``(label, vertex)`` pairs, and
-    the vertices of one label form a group.  A plain parent list: the block
-    forests and the world completions run here over a million times at
-    m = 11, and routing both through ``mst.kruskal`` or ``mst.UnionFind``
-    made each ``pair-exact`` solve 21-42 % slower.
-    """
-    left = n - 1
-    if left <= 0:
-        return 0.0
-    parent = list(range(n))
-    first: dict[int, int] = {}
-    for g, x in groups:
-        r = first.setdefault(g, x)
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != x:
-            x = parent[x]
-        if x != r:
-            parent[x] = r
-            left -= 1
-    cost = 0.0
-    for w, a, b, x, y in items:
-        if left == 0:
-            break
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[y] = x
-            cost += w
-            left -= 1
-            if out is not None:
-                out.append((a, b))
-    return cost
-
-
 def _world(proj: PairProjection, bit: int, class_tree: np.ndarray, merge_blocks, units, dist):
     """One color's forced edges, component count, completion links and the
     component of each unit.
@@ -177,17 +135,17 @@ def _world(proj: PairProjection, bit: int, class_tree: np.ndarray, merge_blocks,
     # the class tree at projection positions; idx is sorted, so the pairs
     # keep subset_mst's ascending (length, a, b) order
     tree = np.searchsorted(proj.idx, class_tree).tolist()
-    forced = mst.kruskal(len(bits), tree, [[p for p in members if bits[p] == 3]])
+    forced: list[tuple[int, int]] = []
+    mst.kruskal(len(bits), ((0.0, a, b, a, b) for a, b in tree),
+                [(0, p) for p in members if bits[p] == 3], forced)
     forced.sort()  # (a, b) order: the forced cost sums them in this order
-    uf = mst.UnionFind(len(bits))
-    for a, b in forced:
-        uf.union(a, b)
+    pairs = list(forced)
     for block in merge_blocks:
         inside = [p for p in block if bits[p] & bit]
-        for a, b in zip(inside, inside[1:]):
-            uf.union(a, b)
+        pairs += zip(inside, inside[1:])
+    labels = mst.component_labels(len(bits), pairs)
     roots: dict[int, int] = {}
-    comp = {p: roots.setdefault(uf.find(p), len(roots)) for p in members}
+    comp = {p: roots.setdefault(labels[p], len(roots)) for p in members}
     # EMST edges between components (the forced ones lie inside one)
     links = [(dist(a, b), a, b, comp[a], comp[b]) for a, b in tree if comp[a] != comp[b]]
     return forced, len(roots), links, [comp[unit[0]] for unit in units]
@@ -233,9 +191,9 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
     def complete(world, code: tuple[int, ...], out=None) -> float:
         """The world's Kruskal completion cost with the blocks of ``code`` pre-merged."""
         _, n, links, unit_comp = world
-        return _kruskal(n, links, zip(code, unit_comp), out)
+        return mst.kruskal(n, links, zip(code, unit_comp), out)
 
-    forest = [_kruskal(m, inside(mask)) for mask in range(1 << m)]
+    forest = [mst.kruskal(m, inside(mask)) for mask in range(1 << m)]
     floor = forced_cost + complete(w1, (0,) * m) + complete(w2, (0,) * m)
     best, best_code = math.inf, ()
     for code in set_partitions(m):
@@ -247,7 +205,7 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
             best, best_code = total, code
     edges = list(forced_edges)
     for mask in _block_masks(best_code):
-        _kruskal(m, inside(mask), out=edges)
+        mst.kruskal(m, inside(mask), out=edges)
     complete(w1, best_code, edges)
     complete(w2, best_code, edges)
     base_edges = [(int(proj.idx[a]), int(proj.idx[b])) for a, b in edges]

@@ -107,7 +107,7 @@ def parse_cnf(text: str) -> MonotoneCnf:
                 raise FormatError(f"bad header: {line!r}")
             if n_vars is not None:
                 raise FormatError(f"a second header: {line!r}")
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            n_vars, n_clauses = _ints(parts[2:], line)
             if n_vars < 1:
                 raise FormatError(f"the header needs at least 1 variable: {line!r}")
             continue
@@ -115,7 +115,7 @@ def parse_cnf(text: str) -> MonotoneCnf:
             raise FormatError(f"clause lines must start with '+' or '-': {line!r}")
         if n_vars is None:
             raise FormatError("clause line before header")
-        vs = tuple(sorted(int(p) for p in parts[1:]))
+        vs = tuple(sorted(_ints(parts[1:], line)))
         if len(vs) not in (2, 3) or len(set(vs)) != len(vs):
             raise FormatError(f"clauses need 2 or 3 distinct variables: {line!r}")
         if vs[0] < 1 or vs[-1] > n_vars:
@@ -130,6 +130,14 @@ def parse_cnf(text: str) -> MonotoneCnf:
     cnf = MonotoneCnf(n_vars=n_vars, clauses=tuple(clauses))
     _validate_embedding(cnf)
     return cnf
+
+
+def _ints(tokens: list[str], line: str) -> list[int]:
+    """The tokens as ints; FormatError naming the line if one is not an integer."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"not an integer in {line!r}") from None
 
 
 def _validate_embedding(cnf: MonotoneCnf) -> None:
@@ -538,9 +546,8 @@ class GadgetInstance:
         for line in (*by_row.values(), *by_col.values()):
             line.sort()
         ids = {p: i for i, p in enumerate(registered)}
-        uf = mst.UnionFind(len(ids))
         verts: set[tuple[int, int]] = set()
-        n_edges = 0
+        pairs: list[tuple[int, int]] = []
 
         def inside(line: list[int], a: int, b: int) -> list[int]:
             """Entries of a sorted line strictly between a and b, a multiple
@@ -567,15 +574,15 @@ class GadgetInstance:
             for p, q in zip(anchors, anchors[1:]):
                 verts.add(p)
                 verts.add(q)
-                uf.union(ids[p], ids[q])
-                n_edges += 1
+                pairs.append((ids[p], ids[q]))
+        labels = mst.component_labels(len(ids), pairs)
         comps: dict[int, set[tuple[int, int]]] = {}
         for v in verts:
-            comps.setdefault(uf.find(ids[v]), set()).add(v)
+            comps.setdefault(labels[ids[v]], set()).add(v)
         # isolated colored actives (none by construction, but count honestly)
         isolated = {self.active_xy[aid] for aid, m in enumerate(self.active_mask)
                     if m & color and self.active_xy[aid] not in verts}
-        return len(verts), n_edges, [*comps.values(), *({p} for p in isolated)]
+        return len(verts), len(pairs), [*comps.values(), *({p} for p in isolated)]
 
     def _check_identity(self) -> None:
         total = 0

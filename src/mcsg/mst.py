@@ -3,10 +3,12 @@
 The EMST is the only edge source a minimum completion needs: with the edges
 F of any pre-merged blocks added, an MST of G plus F uses only edges of F and
 of MST(G), because every other pair is the longest edge on a cycle of MST(G)
-edges.  So completing a class around already connected blocks is ``kruskal``
-over its EMST edges in (length, a, b) order with the blocks pre-united, and
-``mst_completion`` is the one routine that does it.  At every n, the EMST
-here is the unique MST under that strict order.
+edges.  So completing a class around already connected blocks is Kruskal
+over its EMST edges in (length, a, b) order with the blocks pre-united as
+groups.  ``kruskal`` is the one Kruskal loop: the dense EMST,
+``mst_completion`` and exact2's block forests and world completions all run
+through it.  At every n, the EMST here is the unique MST under that strict
+order.
 
 The forced edges of color c are one such completion.  A maximal subset of
 MST(S_c) in which no component contains two multichromatic points lies
@@ -27,49 +29,70 @@ from .core import Instance, as_edges
 DENSE_LIMIT = 80  # above it _boruvka_mst, whose tree is the same, beats the dense Kruskal
 
 
-class UnionFind:
-    """Array union-find with path halving."""
+def kruskal(n: int, items, groups=(), out: list[tuple[int, int]] | None = None) -> float:
+    """Cost of Kruskal over vertices 0..n-1 with each group pre-united.
 
-    __slots__ = ("parent", "count")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
-
-
-def kruskal(n: int, pairs, blocks=()) -> list[tuple[int, int]]:
-    """Kruskal over vertices 0..n-1 with the vertices of each block pre-united.
-
-    ``pairs`` must come in ascending (length, a, b) order; it is read lazily
-    and only until one set remains.  Returns the pairs that joined two sets.
+    ``items`` are ``(weight, a, b, x, y)`` in ascending order, read lazily
+    and only until one set remains; an item that joins the sets of x and y
+    adds its weight and, when ``out`` is given, appends ``(a, b)`` to it.
+    ``groups`` holds ``(label, vertex)`` pairs, and the vertices of one label
+    form a group.  A plain parent list, because exact2 runs this over a
+    million times per solve and a method call per step would cost more than
+    the walk.  The items' walks halve their paths: a long spine joined from
+    its far end would otherwise make every later walk from it linear.
     """
-    uf = UnionFind(n)
-    for block in blocks:
-        for a, b in zip(block, block[1:]):
-            uf.union(a, b)
-    kept = []
-    if uf.count > 1:
-        for a, b in pairs:
-            if uf.union(a, b):
-                kept.append((a, b))
-                if uf.count == 1:
-                    break
-    return kept
+    if n <= 1:
+        return 0.0
+    parent, left = list(range(n)), n - 1
+    first: dict[int, int] = {}
+    for g, x in groups:
+        r = first.setdefault(g, x)
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != x:
+            x = parent[x]
+        if x != r:
+            parent[x] = r
+            left -= 1
+    cost = 0.0
+    if left == 0:
+        return cost
+    for w, a, b, x, y in items:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving: parent[x] is set before x
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[y] = x
+            cost += w
+            if out is not None:
+                out.append((a, b))
+            left -= 1
+            if left == 0:
+                break
+    return cost
+
+
+def component_labels(n: int, pairs) -> list[int]:
+    """Component of each vertex 0..n-1 under the ``(a, b)`` pairs, numbered
+    in order of each component's least vertex."""
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[max(a, b)] = min(a, b)
+    # parent[v] <= v throughout, so each root is its component's least
+    # vertex and a vertex's parent is labelled before it
+    labels, count = [], 0
+    for v, p in enumerate(parent):
+        if p == v:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[p])
+    return labels
 
 
 def _length(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,8 +115,11 @@ def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _dense_mst(xy: np.ndarray) -> np.ndarray:
     n = xy.shape[0]
     a, b = index_pairs(n)
-    order = np.lexsort((b, a, _length(xy, a, b)))
-    return as_edges(kruskal(n, ((int(a[i]), int(b[i])) for i in order)))
+    length = _length(xy, a, b)
+    order = np.lexsort((b, a, length))
+    a, b, kept = a[order].tolist(), b[order].tolist(), []
+    kruskal(n, zip(length[order].tolist(), a, b, a, b), out=kept)
+    return as_edges(kept)
 
 
 def _boruvka_mst(xy: np.ndarray) -> np.ndarray:
@@ -216,10 +242,12 @@ def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = No
     members = np.asarray(members, dtype=np.int64)
     pos = np.full(inst.n, -1, dtype=np.int64)
     pos[members] = np.arange(members.size)
-    blocks = [[p for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0] for block in merged]
+    groups = [(g, p) for g, block in enumerate(merged)
+              for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0]
     if tree is None:
         tree = subset_mst(inst.xy, members)
-    kept = kruskal(members.size, pos[tree].tolist(), blocks)
+    kept: list[tuple[int, int]] = []
+    kruskal(members.size, ((0.0, a, b, a, b) for a, b in pos[tree].tolist()), groups, kept)
     return as_edges(members[np.array(kept, dtype=np.int64).reshape(-1, 2)])
 
 

@@ -227,6 +227,18 @@ def test_gen_gadget_rejects_bad_formulas(tmp_path, capsys):
         assert not inst_out.exists(), text
 
 
+def test_gen_gadget_rejects_non_integer_tokens(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    inst_out = tmp_path / "gadget.json"
+    for text, bad in (("p mcnf x 1\n+ 1 2\n", "p mcnf x 1"), ("p mcnf 2 1\n+ 1 a\n", "+ 1 a"),
+                      ("p mcnf 2 1\n+ 1 2 # note\n", "+ 1 2 # note")):
+        cnf.write_text(text)
+        capsys.readouterr()
+        assert run("gen", "gadget", "--cnf", str(cnf), "--out", str(inst_out)) == 1, text
+        assert capsys.readouterr().err == f"error: not an integer in {bad!r}\n", text
+        assert not inst_out.exists(), text
+
+
 def test_gen_gadget_refuses_over_size_budget(tmp_path, capsys):
     # six two-variable clauses, r = 12: 199,432,260 chain steps would take
     # tens of GB to materialise
@@ -284,6 +296,25 @@ def test_exact2_rejects_bad_merge_groups(tmp_path, capsys):
         assert run("exact2", "--input", str(path), "--pair", "1,3",
                    "--merge-groups", str(groups)) == 1, doc
         assert "--merge-groups needs" in capsys.readouterr().err, doc
+
+
+def test_malformed_side_documents_are_named(tmp_path, capsys):
+    # a truncated --merge-groups list, and files that are not UTF-8 given
+    # as the instance or the solution
+    inst = tmp_path / "i.json"
+    inst.write_text(core.instance_to_json(core.generate_random(6, 3, 0.6, 9)))
+    groups, bad = tmp_path / "g.json", tmp_path / "bad.json"
+    groups.write_text("[[0,1")
+    bad.write_bytes(b'{"k": \xe9}')
+    for args, what in ((("exact2", "--input", inst, "--pair", "1,3", "--merge-groups", groups),
+                        "--merge-groups"),
+                       (("render", "--input", bad, "--output", tmp_path / "o.svg"), "instance"),
+                       (("render", "--input", inst, "--solution", bad,
+                         "--output", tmp_path / "o.svg"), "solution")):
+        capsys.readouterr()
+        assert run(*map(str, args)) == 1, what
+        assert capsys.readouterr().err.startswith(f"error: malformed {what} document: "), what
+    assert not (tmp_path / "o.svg").exists()
 
 
 def test_exact2_rejects_bad_pair(tmp_path, capsys):

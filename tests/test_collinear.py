@@ -11,6 +11,7 @@ import pytest
 
 from mcsg import collinear, core, oracle
 from mcsg.collinear import _color_masks, _endpoint_bits, _hat_b, _hat_key, _Prep
+from union_find import find, union
 
 
 def line(colored, spacing=None):
@@ -141,7 +142,7 @@ def test_hat_b_trivial_and_shared_endpoint():
     inst = line([{1}, {1, 2}, {1}, {1, 2}])
     prev_bs, _, prev_pos, starts = _hat_args(inst, 2, (0b01,), (0b01,), 1)
     assert prev_bs == (1,)
-    assert _hat_b(prev_pos, starts, (0,)) == (0,)
+    assert _hat_b(prev_pos, starts, -1, (0,)) == (0,)
 
 
 def test_hat_b_two_enders_related():
@@ -153,7 +154,7 @@ def test_hat_b_two_enders_related():
     # single edge per color at the previous cut: trivial partitions
     for c in (1, 2):
         _, _, prev_pos, starts = _hat_args(inst, 3, (0b01, 0b10), (0b01, 0b10), c)
-        assert _hat_b(prev_pos, starts, (0,)) == (0,)
+        assert _hat_b(prev_pos, starts, -1, (0,)) == (0,)
 
 
 def test_hat_b_relates_through_p_i_and_next_blocks():
@@ -162,14 +163,52 @@ def test_hat_b_relates_through_p_i_and_next_blocks():
     inst = line([{1, 2}, {1}, {1}, {1, 2}])
     prev_bs, nb, prev_pos, starts = _hat_args(inst, 2, (0b01, 0b11), (0b01, 0b11), 1)
     assert (prev_bs, nb, prev_pos, starts) == ((1, 3), (2, 3), (2, 1), 0b1)
-    assert _hat_b(prev_pos, starts, (0, 0)) == (0, 0)
-    assert _hat_b(prev_pos, starts, (0, 1)) == (0, 1)
+    assert _hat_b(prev_pos, starts, -1, (0, 0)) == (0, 0)
+    assert _hat_b(prev_pos, starts, -1, (0, 1)) == (0, 1)
     # kept endpoints 3 and 4 follow the next cut's blocks: p_i = 1 reaches 2,
     # which shares a block with 4 but not with 3
     inst = line([{1, 2, 3}, {1}, {1}, {1, 2}, {1, 3}])
     prev_bs, nb, prev_pos, starts = _hat_args(inst, 2, (0b011, 0b101), (0b001, 0b011, 0b101), 1)
     assert (prev_bs, nb, prev_pos, starts) == ((3, 4), (2, 3, 4), (1, 2), 0b1)
-    assert _hat_b(prev_pos, starts, (0, 1, 0)) == (0, 1)
+    assert _hat_b(prev_pos, starts, -1, (0, 1, 0)) == (0, 1)
+
+
+def _hat_b_reference(prev_pos, starts, anchored, rgs):
+    """``_hat_b`` by union-find: each next endpoint joins its block's first
+    one, and p_i (at len(rgs)) every endpoint that an edge from it reaches;
+    with (d2), one reached block must hold an anchored endpoint."""
+    size = len(rgs)
+    start_classes = {r for j, r in enumerate(rgs) if starts >> j & 1}
+    if anchored >= 0 and not any(anchored >> j & 1 and r in start_classes
+                                 for j, r in enumerate(rgs)):
+        return None
+    parent, first = list(range(size + 1)), {}
+    for j, block in enumerate(rgs):
+        union(parent, first.setdefault(block, j), j)
+        if starts >> j & 1:
+            union(parent, size, j)
+    remap = {}
+    return tuple(remap.setdefault(find(parent, p), len(remap)) for p in prev_pos)
+
+
+def test_hat_b_matches_union_find_reference():
+    # every partition of up to 5 next endpoints, every starts mask and every
+    # previous-endpoint list _hat_key can give (p_i or not, then kept
+    # endpoints in order); every anchored mask on the longest list
+    cases = 0
+    for size in range(6):
+        lists = [(size,) * with_pt + kept for with_pt in (0, 1)
+                 for r in range(size + 1) for kept in itertools.combinations(range(size), r)]
+        for rgs in core.set_partitions(size):
+            for starts in range(1 << size):
+                for prev_pos in lists:
+                    want = _hat_b_reference(prev_pos, starts, -1, rgs)
+                    assert _hat_b(prev_pos, starts, -1, rgs) == want, (prev_pos, starts, rgs)
+                    cases += 1
+                for anchored in range(1 << size):
+                    want = _hat_b_reference(lists[-1], starts, anchored, rgs)
+                    assert _hat_b(lists[-1], starts, anchored, rgs) == want, (starts, anchored, rgs)
+    assert cases == sum(len(list(core.set_partitions(s))) * 4**s * 2 for s in range(6))
 
 
 def test_dp_examples():

@@ -407,7 +407,8 @@ def test_solution_json_round_trip():
 
 def test_json_readers_reject_undecodable_documents():
     for read, what in ((core.load_instance, "instance"), (core.solution_from_json, "solution")):
-        for doc in (b"\xff{}", b"{", "{", io.BytesIO(b'{"k": \xe9}')):
+        for doc in (b"\xff{}", b"{", "{", io.BytesIO(b'{"k": \xe9}'),
+                    io.TextIOWrapper(io.BytesIO(b'{"k": \xe9}'), encoding="utf-8")):
             with pytest.raises(core.FormatError, match=f"malformed {what} document"):
                 read(doc)
 

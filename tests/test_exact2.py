@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcsg import collinear, core, exact2, mst, oracle
+from union_find import find, union
 
 SQUARE = core.Instance(2, [(0, 0, {1, 2}), (1, 0, {1, 2}), (0, 1, {1}), (1, 1, {2})])
 
@@ -147,19 +148,19 @@ def _spans_by_walk(proj, edges):
         members = [i for i in range(proj.n) if int(proj.bits[i]) & bit]
         if len(members) <= 1:
             continue
-        uf = mst.UnionFind(proj.n)
+        parent = list(range(proj.n))
         for block in proj.group_merge:
             inside = sorted(pos[int(p)] for p in block if int(p) in pos)
             for a, b in zip(inside, inside[1:]):
-                uf.union(a, b)
+                union(parent, a, b)
         for a, b in arr:
             pa, pb = pos.get(int(a)), pos.get(int(b))
             if pa is None or pb is None:
                 continue
             if int(proj.bits[pa]) & bit and int(proj.bits[pb]) & bit:
-                uf.union(pa, pb)
-        root = uf.find(members[0])
-        if any(uf.find(m) != root for m in members[1:]):
+                union(parent, pa, pb)
+        root = find(parent, members[0])
+        if any(find(parent, m) != root for m in members[1:]):
             return False
     return True
 

@@ -149,10 +149,9 @@ def test_witness_contains_forced_edges(small_gadget):
 
     g = small_gadget
     sol = gadgets.build_witness(g, [True, False])
-    have = sol.edge_set()
-    for c in (1, 2, 3):
-        for a, b in mst.forced_edges(g.instance, c):
-            assert (int(a), int(b)) in have
+    forced = np.concatenate([mst.forced_edges(g.instance, c) for c in (1, 2, 3)])
+    n = g.instance.n
+    assert np.isin(forced @ [n, 1], sol.edges @ [n, 1]).all()  # each pair (a, b) as a * n + b
 
 
 def test_unsatisfied_clause_disconnects(small_gadget):

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
 from mcsg import core, mst
+from union_find import find, union
 
 
 def brute_mst_cost(xy):
@@ -17,8 +18,8 @@ def brute_mst_cost(xy):
     pairs = list(itertools.combinations(range(n), 2))
     best = None
     for subset in itertools.combinations(pairs, n - 1):
-        uf = mst.UnionFind(n)
-        if all(uf.union(a, b) for a, b in subset):
+        parent = list(range(n))
+        if all(union(parent, a, b) for a, b in subset):
             cost = sum(np.hypot(*(np.array(xy[a]) - np.array(xy[b]))) for a, b in subset)
             best = cost if best is None else min(best, cost)
     return best
@@ -180,15 +181,68 @@ def test_forced_edges_subset_of_mst_and_component_count():
                     assert int(inst.multichromatic()[pts].sum()) == 1
 
 
-def test_kruskal_blocks_and_early_stop():
-    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
-    assert mst.kruskal(4, pairs) == [(0, 1), (1, 2), (2, 3)]
-    assert mst.kruskal(4, pairs, [[0, 2]]) == [(0, 1), (2, 3)]
-    assert mst.kruskal(4, pairs, [[0, 1, 2, 3]]) == []
-    # the pairs are read only until one set remains
-    it = iter(pairs)
-    assert mst.kruskal(4, it, [[2, 3]]) == [(0, 1), (1, 2)]
-    assert next(it) == (2, 3)
+def test_kruskal_groups_early_stop_out_and_cost():
+    # the 4-cycle 0-1-2-3 and its chord 1-3, weights 1..5 in item order
+    items = [(1.0, 0, 1, 0, 1), (2.0, 1, 2, 1, 2), (3.0, 2, 3, 2, 3), (4.0, 0, 3, 0, 3),
+             (5.0, 1, 3, 1, 3)]
+    out = []
+    assert mst.kruskal(4, items, out=out) == 6.0 and out == [(0, 1), (1, 2), (2, 3)]
+    assert mst.kruskal(4, items) == 6.0  # without out, the cost alone
+    out = []
+    assert mst.kruskal(4, items, [(7, 0), (7, 2)], out) == 4.0 and out == [(0, 1), (2, 3)]
+    # two labels make two groups, {0, 2} and {1, 3}
+    out = []
+    assert mst.kruskal(4, items, [(0, 0), (1, 1), (0, 2), (1, 3)], out) == 1.0 and out == [(0, 1)]
+    # items are read only until one set remains, and not at all when the
+    # groups already make one set or there is at most one vertex
+    it = iter(items)
+    assert mst.kruskal(4, it, [(0, 2), (0, 3)]) == 3.0
+    assert next(it) == items[2]
+    for n, groups in ((4, [(0, v) for v in range(4)]), (1, ()), (0, ())):
+        it = iter(items)
+        assert mst.kruskal(n, it, groups) == 0.0
+        assert next(it) == items[0]
+    # (a, b) is what out records, (x, y) the sets an item joins
+    out = []
+    assert mst.kruskal(2, [(2.5, 10, 11, 0, 1)], out=out) == 2.5 and out == [(10, 11)]
+
+
+def test_kruskal_equal_lengths_on_a_lattice():
+    # a 4 x 4 unit lattice: every EMST edge has length 1, and the first
+    # (length, a, b) pairs that join two sets win each tie
+    xy = np.array([(x, y) for y in range(4) for x in range(4)], dtype=float)
+    a, b = mst.index_pairs(16)
+    length = np.hypot(*(xy[a] - xy[b]).T)
+    order = np.lexsort((b, a, length))
+    want = [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 8), (5, 9), (6, 10),
+            (7, 11), (8, 12), (9, 13), (10, 14), (11, 15)]
+    items = [(float(length[i]), int(a[i]), int(b[i]), int(a[i]), int(b[i])) for i in order]
+    out = []
+    assert mst.kruskal(16, items, out=out) == 15.0
+    assert out == want
+    assert core.as_edges(out).tolist() == mst.euclidean_mst(xy).tolist()
+    # with the left column pre-united, its three links drop out and the
+    # other twelve edges are kept in the same order
+    out = []
+    assert mst.kruskal(16, items, [(0, v) for v in (0, 4, 8, 12)], out) == 12.0
+    assert out == [e for e in want if e not in {(0, 4), (4, 8), (8, 12)}]
+
+
+def test_component_labels():
+    assert mst.component_labels(0, []) == []
+    assert mst.component_labels(3, []) == [0, 1, 2]
+    # numbered in order of least vertex, whatever order the pairs come in
+    assert mst.component_labels(6, [(5, 3), (4, 1), (3, 0)]) == [0, 1, 2, 0, 1, 0]
+    assert mst.component_labels(4, [(3, 2), (2, 1), (1, 0), (0, 3)]) == [0, 0, 0, 0]
+    rng = np.random.default_rng(0)
+    for n in range(1, 40):
+        pairs = rng.integers(0, n, size=(n // 2, 2)).tolist()
+        parent = list(range(n))
+        for a, b in pairs:
+            union(parent, a, b)
+        roots = {}
+        want = [roots.setdefault(find(parent, v), len(roots)) for v in range(n)]
+        assert mst.component_labels(n, pairs) == want, n
 
 
 def veto_forest(inst, c):
@@ -201,17 +255,17 @@ def veto_forest(inst, c):
     d = inst.xy[members[local[:, 0]]] - inst.xy[members[local[:, 1]]]
     order = np.lexsort((local[:, 1], local[:, 0], np.hypot(d[:, 0], d[:, 1])))
     active = inst.multichromatic()[members].tolist()
-    uf = mst.UnionFind(members.size)
+    parent = list(range(members.size))
     kept = []
     for i in order:
-        ra, rb = uf.find(int(local[i, 0])), uf.find(int(local[i, 1]))
+        ra, rb = find(parent, int(local[i, 0])), find(parent, int(local[i, 1]))
         if ra == rb or (active[ra] and active[rb]):
             continue
-        uf.union(ra, rb)
+        union(parent, ra, rb)
         active[ra] = active[ra] or active[rb]
         kept.append(i)
     roots = {}
-    labels = [roots.setdefault(uf.find(v), len(roots)) for v in range(members.size)]
+    labels = [roots.setdefault(find(parent, v), len(roots)) for v in range(members.size)]
     return core.as_edges(members[local[sorted(kept)]]), labels
 
 
