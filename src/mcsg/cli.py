@@ -42,11 +42,7 @@ EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_INVARIANT = 0, 1, 2, 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; usage errors are 1 here
         self.print_usage(sys.stderr)
-        raise SystemExit_Usage(message)
-
-
-class SystemExit_Usage(Exception):
-    pass
+        raise FormatError(message)
 
 
 def _read_instance(path: str) -> Instance:
@@ -100,7 +96,7 @@ def solve_dispatch(inst: Instance, mode: str = "auto") -> Solution:
 def _emit_solution(inst: Instance, sol: Solution, output: str | None,
                    svg: str | None = None) -> None:
     if not is_csg(inst, sol.edges):
-        raise InternalInvariantError("produced edge set is not a colored spanning graph")
+        raise RuntimeError("produced edge set is not a colored spanning graph")
     _write(solution_to_json(sol), output)
     if svg:
         with open(svg, "wb") as fh:
@@ -113,10 +109,6 @@ def _write(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         print(text)
-
-
-class InternalInvariantError(RuntimeError):
-    pass
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one per process serves
@@ -206,7 +198,7 @@ def _cmd_exact2(args) -> int:
     proj = exact2.project_pair(inst, c1, c2, merge)
     sol = exact2.solve_pair(proj)
     if not exact2.spans_projection(proj, sol.edges):
-        raise InternalInvariantError("pair solution does not span its projection")
+        raise RuntimeError("pair solution does not span its projection")
     _write(solution_to_json(sol), args.output)
     return EXIT_OK
 
@@ -268,7 +260,7 @@ def _cmd_gen_gadget(args) -> int:
     if bits is not None:
         sol = gadgets.build_witness(g, bits)
         if not is_csg(g.instance, sol.edges):
-            raise InternalInvariantError("witness is not a colored spanning graph")
+            raise RuntimeError("witness is not a colored spanning graph")
         with open(args.witness_out or "witness.json", "w", encoding="utf-8") as fh:
             fh.write(solution_to_json(sol))
     return EXIT_OK
@@ -322,16 +314,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit_Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (InternalInvariantError, AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

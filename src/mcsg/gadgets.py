@@ -25,9 +25,11 @@ corpora.
 
 One class, ``GadgetInstance``, holds a build: its constructor lays out the
 actives and wires on the lattice, checks the identity and sets W, all without
-emitting a point; the ``instance`` property materializes the point set (and
-the chain edges) on first use.  ``build_gadget``, ``build_witness`` and
-``compute_w`` are the module-level entry points.
+emitting a point.  A wire is the ``_Walker`` that laid it out, which carries
+its color, its waypoints and its count of chain steps.  The ``instance``
+property materializes the point set (and the chain edges) on first use.
+``build_gadget``, ``build_witness`` and ``compute_w`` are the module-level
+entry points.
 """
 
 from __future__ import annotations
@@ -68,10 +70,22 @@ class Clause:
 
 @dataclass(frozen=True)
 class MonotoneCnf:
-    """A planar monotone formula: positive clauses above, negative below."""
+    """A planar monotone formula: positive clauses above, negative below.
+    Construction raises FormatError for a formula the layout cannot embed."""
 
     n_vars: int
     clauses: tuple[Clause, ...]
+
+    def __post_init__(self):
+        if not self.clauses:
+            raise FormatError("the formula needs at least 1 clause")
+        for i, vs in enumerate(c.vars for c in self.clauses):
+            if len(vs) not in (2, 3) or any(a >= b for a, b in zip(vs, vs[1:])):
+                raise FormatError(f"clauses need 2 or 3 distinct variables in ascending "
+                                  f"order: clause {i} has {vs}")
+            if vs[0] < 1 or vs[-1] > self.n_vars:
+                raise FormatError(f"variable out of range in clause {i}: {vs}")
+        _validate_embedding(self)
 
     @property
     def n_edges(self) -> int:
@@ -81,11 +95,8 @@ class MonotoneCnf:
         values = list(assignment)
         if len(values) != self.n_vars:
             raise FormatError(f"assignment needs {self.n_vars} values")
-        for c in self.clauses:
-            want = True if c.positive else False
-            if not any(bool(values[v - 1]) == want for v in c.vars):
-                return False
-        return True
+        return all(any(bool(values[v - 1]) == c.positive for v in c.vars)
+                   for c in self.clauses)
 
 
 def parse_cnf(text: str) -> MonotoneCnf:
@@ -116,20 +127,12 @@ def parse_cnf(text: str) -> MonotoneCnf:
         if n_vars is None:
             raise FormatError("clause line before header")
         vs = tuple(sorted(_ints(parts[1:], line)))
-        if len(vs) not in (2, 3) or len(set(vs)) != len(vs):
-            raise FormatError(f"clauses need 2 or 3 distinct variables: {line!r}")
-        if vs[0] < 1 or vs[-1] > n_vars:
-            raise FormatError(f"variable out of range in {line!r}")
         clauses.append(Clause(positive=(parts[0] == "+"), vars=vs))
     if n_vars is None:
         raise FormatError("missing 'p mcnf' header")
     if n_clauses is not None and n_clauses != len(clauses):
         raise FormatError(f"header announced {n_clauses} clauses, found {len(clauses)}")
-    if not clauses:
-        raise FormatError("the formula needs at least 1 clause")
-    cnf = MonotoneCnf(n_vars=n_vars, clauses=tuple(clauses))
-    _validate_embedding(cnf)
-    return cnf
+    return MonotoneCnf(n_vars=n_vars, clauses=tuple(clauses))
 
 
 def _ints(tokens: list[str], line: str) -> list[int]:
@@ -141,7 +144,7 @@ def _ints(tokens: list[str], line: str) -> list[int]:
 
 
 def _validate_embedding(cnf: MonotoneCnf) -> None:
-    """Check laminar nesting per side and assign realizable arc depths."""
+    """Check laminar nesting per side and the arc depths the layout can realize."""
     for side in (True, False):
         idx = [i for i, c in enumerate(cnf.clauses) if c.positive == side]
         spans = {i: (cnf.clauses[i].vars[0], cnf.clauses[i].vars[-1]) for i in idx}
@@ -192,20 +195,22 @@ R_BIT, B_BIT, Y_BIT = 1, 2, 4
 BLACK = R_BIT | B_BIT | Y_BIT
 PURPLE = R_BIT | B_BIT
 
-# Phase-adapter recipes: which diagonal pairs to emit for a required phase
-# shift (mod 5) along the axis of travel.  A "6"-pair advances 6 units along
-# the axis (two steps with axis-component 3), an "8"-pair advances 8.
-_FWD_COMBOS = {0: [], 1: [6], 2: [6, 6], 3: [8], 4: [8, 6]}
-_BWD_COMBOS = {0: [], 1: [8, 6], 2: [8], 3: [6, 6], 4: [6]}
+# Phase-adapter recipes, indexed by the phase shift (mod 5) a run needs in
+# its direction of travel: which diagonal pairs to emit.  A "6"-pair advances
+# 6 units along the axis (two steps with axis-component 3), an "8"-pair 8.
+_COMBOS = ((), (6,), (6, 6), (8,), (8, 6))
 
 
 class _Walker:
-    """Builds one chain polyline; every step is exactly 5 lattice units."""
+    """One chain wire: lays out its polyline, every step exactly 5 lattice
+    units, and counts the steps; ``GadgetInstance._add`` gives it its color
+    and freezes its waypoints."""
 
-    __slots__ = ("pts",)
+    __slots__ = ("color", "pts", "steps")
 
     def __init__(self, start: tuple[int, int]):
         self.pts = [start]
+        self.steps = 0
 
     @property
     def cur(self) -> tuple[int, int]:
@@ -216,6 +221,7 @@ class _Walker:
         p[axis] += along
         p[1 - axis] += across
         self.pts.append(tuple(p))
+        self.steps += 1 if across else abs(along) // 5   # one diagonal or a straight run
 
     def _run(self, axis: int, to: int) -> "_Walker":
         """Run along axis 0 (x) or 1 (y) to coordinate ``to``, first shifting
@@ -224,8 +230,7 @@ class _Walker:
         if to == start:
             return self
         sign = 1 if to > start else -1
-        combos = _FWD_COMBOS if sign > 0 else _BWD_COMBOS
-        pairs = combos[(to - start) % 5]
+        pairs = _COMBOS[abs(to - start) % 5]
         if pairs:
             # keep the diagonal points clear of whatever this run starts at
             self._step(axis, sign * 10, 0)
@@ -248,40 +253,8 @@ class _Walker:
     def diag(self, dx: int, dy: int) -> "_Walker":
         if sorted((abs(dx), abs(dy))) != [3, 4]:
             raise AssertionError(f"bad diagonal step ({dx}, {dy})")
-        x, y = self.cur
-        self.pts.append((x + dx, y + dy))
+        self._step(0, dx, dy)
         return self
-
-
-@dataclass(frozen=True, eq=False)
-class _Wire:
-    color: int
-    pts: tuple[tuple[int, int], ...]   # waypoints; straight or single-diag steps
-
-    def step_count(self) -> int:
-        total = 0
-        for (x0, y0), (x1, y1) in zip(self.pts, self.pts[1:]):
-            dx, dy = abs(x1 - x0), abs(y1 - y0)
-            if dx and dy:
-                total += 1
-            else:
-                total += (dx + dy) // 5
-        return total
-
-    def segments(self):
-        return list(zip(self.pts, self.pts[1:]))
-
-
-def _wire(color: int, walker: _Walker) -> _Wire:
-    pts = walker.pts
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        dx, dy = abs(x1 - x0), abs(y1 - y0)
-        if dx and dy:
-            if sorted((dx, dy)) != [3, 4]:
-                raise AssertionError(f"bad step {(x0, y0)} -> {(x1, y1)}")
-        elif (dx + dy) % 5 != 0 or dx + dy == 0:
-            raise AssertionError(f"bad run {(x0, y0)} -> {(x1, y1)}")
-    return _Wire(color=color, pts=tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +297,12 @@ class GadgetInstance:
         self.d5 = 250 * r                 # delta in lattice units
         self.active_xy: list[tuple[int, int]] = []
         self.active_mask: list[int] = []
-        self.wires: list[_Wire] = []
+        self.wires: list[_Walker] = []
         self.slots: list[_SlotIds] = []
         self.clause_slots: dict[int, list[int]] = {}
         self.trunk_taps = {R_BIT: [], B_BIT: [], Y_BIT: []}
         self._build()
-        self.n_chain_edges = sum(w.step_count() for w in self.wires)
+        self.n_chain_edges = sum(w.steps for w in self.wires)
         self._check_identity()
         # W = sum(E') + 39 r eps + switch terms; by the counting identity the
         # forced edges are exactly the chain edges minus 39r of them
@@ -351,7 +324,9 @@ class GadgetInstance:
         return len(self.active_xy) - 1
 
     def _add(self, color: int, walker: _Walker) -> None:
-        self.wires.append(_wire(color, walker))
+        walker.color = color
+        walker.pts = tuple(walker.pts)
+        self.wires.append(walker)
 
     # -- construction -----------------------------------------------------
 
@@ -559,7 +534,7 @@ class GadgetInstance:
 
         for w in wires:
             stops = [w.pts[0]]
-            for (x0, y0), (x1, y1) in w.segments():
+            for (x0, y0), (x1, y1) in zip(w.pts, w.pts[1:]):
                 if y0 == y1 and x0 != x1:
                     stops.extend((px, y0) for px in inside(by_row[y0], x0, x1))
                 elif x0 == x1 and y0 != y1:
@@ -706,10 +681,10 @@ class GadgetInstance:
 # materialization and the public surface
 
 
-def _expand_wire(w: _Wire) -> np.ndarray:
+def _expand_wire(w: _Walker) -> np.ndarray:
     """All lattice points of one wire, endpoints included, in chain order."""
     chunks = []
-    for (x0, y0), (x1, y1) in w.segments():
+    for (x0, y0), (x1, y1) in zip(w.pts, w.pts[1:]):
         dx, dy = x1 - x0, y1 - y0
         if dx and dy:
             chunks.append(np.array([[x0, y0]], dtype=np.int64))
@@ -762,15 +737,12 @@ def build_witness(g: GadgetInstance, assignment) -> Solution:
     and the remaining small switches minimally.
     """
     values = [bool(v) for v in assignment]
-    if len(values) != g.cnf.n_vars:
-        raise FormatError(f"assignment needs {g.cnf.n_vars} values")
     if not g.cnf.satisfies(values):
         raise FormatError("assignment does not satisfy the formula")
     chosen: dict[int, int] = {}
     for ci, c in enumerate(g.cnf.clauses):
-        want = True if c.positive else False
         for s in g.clause_slots[ci]:
-            if values[g.slots[s].var - 1] == want:
+            if values[g.slots[s].var - 1] == c.positive:
                 chosen[ci] = s
                 break
     edges = merge_edges(g.chain_edges(), g.pattern_edges(values, chosen))

@@ -1,10 +1,11 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mcsg import core, gadgets
+from mcsg import core, gadgets, mst
 
 SQRT2 = math.sqrt(2)
 
@@ -56,6 +57,25 @@ def test_parse_errors():
     for text in ("p mcnf 3 0\n", "p mcnf 1 0\n", "p mcnf 0 0\n", "p mcnf -2 0\n"):
         with pytest.raises(core.FormatError, match="at least 1"):
             gadgets.parse_cnf(text)
+
+
+def test_monotone_cnf_checks_itself():
+    # a formula built without parse_cnf gets the same checks
+    C = gadgets.Clause
+    for n_vars, clauses, message in (
+        (5, (C(True, (1, 3, 5)), C(True, (2, 4))), "lies inside"),
+        (10, tuple(C(True, (1 + i, 10 - i)) for i in range(5)), "depth"),
+        (3, (C(True, (3, 1)),), "ascending"),
+        (3, (C(True, (1, 2)), C(True, (1, 2))), "share the span"),
+        (4, (C(True, (1, 3)), C(True, (2, 4))), "laminar"),
+        (2, (C(True, (1, 3)),), "out of range"),
+        (2, (C(False, (0, 1)),), "out of range"),
+        (3, (C(True, (1, 1)),), "distinct"),
+        (3, (C(True, (1,)),), "2 or 3"),
+        (2, (), "at least 1 clause"),
+    ):
+        with pytest.raises(core.FormatError, match=message):
+            gadgets.MonotoneCnf(n_vars, clauses)
 
 
 def test_satisfies_semantics():
@@ -144,12 +164,28 @@ def test_witness_cost_and_validity(small_gadget):
         gadgets.build_witness(g, [False, False])
 
 
-def test_witness_contains_forced_edges(small_gadget):
-    from mcsg import mst
+@pytest.fixture(scope="module")
+def small_gadget_w(small_gadget):
+    """compute_w of the session gadget and the forced edges it computed on
+    the way, so the r = 2 forced edges are computed once per module."""
+    forced = []
 
+    def spy(inst, c):
+        forced.append(real(inst, c))
+        return forced[-1]
+
+    real = mst.forced_edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mst, "forced_edges", spy)
+        w = gadgets.compute_w(small_gadget)
+    assert len(forced) == 3
+    return w, np.concatenate(forced)
+
+
+def test_witness_contains_forced_edges(small_gadget, small_gadget_w):
     g = small_gadget
     sol = gadgets.build_witness(g, [True, False])
-    forced = np.concatenate([mst.forced_edges(g.instance, c) for c in (1, 2, 3)])
+    forced = small_gadget_w[1]
     n = g.instance.n
     assert np.isin(forced @ [n, 1], sol.edges @ [n, 1]).all()  # each pair (a, b) as a * n + b
 
@@ -175,9 +211,9 @@ def test_w_formula_terms(small_gadget):
     )
 
 
-def test_compute_w_matches(small_gadget):
+def test_compute_w_matches(small_gadget, small_gadget_w):
     g = small_gadget
-    assert abs(gadgets.compute_w(g) - g.W) <= 1e-9 * g.W
+    assert abs(small_gadget_w[0] - g.W) <= 1e-9 * g.W
 
 
 def test_no_same_color_pair_below_epsilon(small_gadget):
@@ -224,7 +260,7 @@ def _anchor_graph_reference(plan, color):
 
     for w in wires:
         stops = [w.pts[0]]
-        for (x0, y0), (x1, y1) in w.segments():
+        for (x0, y0), (x1, y1) in zip(w.pts, w.pts[1:]):
             hits = []
             if y0 == y1 and x0 != x1:
                 lo, hi = sorted((x0, x1))
@@ -291,8 +327,6 @@ def test_anchor_graph_matches_quadratic_scan_on_random_wires():
     # The gadget layouts never cross a registered point on a westward or
     # southward run, so random lattice wires cover that order and the
     # multiple-of-5 filter.
-    from types import SimpleNamespace
-
     rng = np.random.default_rng(5)
     for trial in range(40):
         wires = []
@@ -303,7 +337,7 @@ def test_anchor_graph_matches_quadratic_scan_on_random_wires():
                 step = 5 * int(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]))
                 x, y = (x + step, y) if rng.random() < 0.5 else (x, y + step)
                 pts.append((x, y))
-            wires.append(gadgets._Wire(color=int(rng.choice([1, 2])), pts=tuple(pts)))
+            wires.append(SimpleNamespace(color=int(rng.choice([1, 2])), pts=tuple(pts)))
         actives = [tuple(int(v) for v in p) for p in rng.integers(0, 60, size=(3, 2))]
         plan = SimpleNamespace(wires=wires, active_xy=actives,
                                active_mask=[int(m) for m in rng.integers(1, 4, size=3)])
@@ -378,7 +412,7 @@ def test_materialise_rejects_wires_of_two_colors_on_one_point():
     g = gadgets.build_gadget(gadgets.parse_cnf("p mcnf 2 1\n+ 1 2\n"))
     w = g.wires[5]
     other = gadgets.B_BIT if w.color == gadgets.R_BIT else gadgets.R_BIT
-    g.wires.append(gadgets._Wire(color=other, pts=w.pts))
+    g.wires.append(SimpleNamespace(color=other, pts=w.pts))
     with pytest.raises(AssertionError, match="wires of different colors collide"):
         g.instance
     assert g._instance is None and g._chain_edges is None
