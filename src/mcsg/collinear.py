@@ -14,6 +14,10 @@ charged once, at the step that consumes its right endpoint.  Internally the
 per-color partitions live on the distinct right endpoints of the cut edges
 (edges sharing a right endpoint always attach to the same suffix component),
 which keeps the state space well below the Bell-number ceiling.
+
+A transition between two cuts depends only on k and their relative shape, not
+on the line, so each k's transition tables outlive the solve that built them
+and serve the next one, up to a size of ``MAX_STATES_PER_CUT`` entries.
 """
 
 from __future__ import annotations
@@ -205,6 +209,84 @@ def _hat_b(prev_pos: tuple[int, ...], starts: int, anchored: int,
                  for p in prev_pos)
 
 
+class _Tables:
+    """The DP's transition tables for one k, kept across solves.
+
+    A transition depends only on k and the relative shape of two cuts, never
+    on the line, so every table here is line-independent: the partitions per
+    width, the hat maps per shape and per mask key (``_hat_key``), the ids of
+    partitions and partition vectors, and the pull products.  Their ids
+    therefore depend on the solves that built them; no visit order or tie
+    depends on an id.  ``pulled`` counts the pull entries and the ids they
+    hold; with the partition vectors and mask keys it bounds the memory held.
+    """
+
+    def __init__(self, k: int):
+        self.budget = MAX_STATES_PER_CUT
+        self.width = (1 << k) - 1  # a cut has at most one edge per color set
+        self.pulled = 0
+        self.partitions: dict[int, list[tuple[int, ...]]] = {}
+        # A partition (restricted-growth string) is handled by its id in rgs_ids.
+        self.rgs_ids: dict[tuple[int, ...], int] = {}
+        # hat_list[id]: {hat partition id: next partition ids}, for one
+        # color's shape from _hat_key, and hat_sizes[id] its number of next
+        # endpoints; hat_ids holds the id by shape and hats by mask key, -1
+        # when no partition is left.
+        self.hat_list: list[dict[int, list[int]]] = []
+        self.hat_sizes: list[int] = []
+        self.hat_ids: dict[tuple, int] = {}
+        self.hats: dict[int, int] = {}
+        # A partition vector (one partition id per color) is handled by its id in pk_list.
+        self.pk_ids: dict[tuple[int, ...], int] = {}
+        self.pk_list: list[tuple[int, ...]] = []
+        # pulls[map ids per color]: {previous pk id: next pk ids, empty if unreachable}
+        self.pulls: dict[tuple[int, ...], dict[int, list[int]]] = {}
+
+    def partitions_of(self, t: int) -> list[tuple[int, ...]]:
+        got = self.partitions.get(t)
+        if got is None:
+            got = self.partitions[t] = list(set_partitions(t))
+        return got
+
+    def rgs_id(self, rgs: tuple[int, ...]) -> int:
+        got = self.rgs_ids.get(rgs)
+        if got is None:
+            got = self.rgs_ids[rgs] = len(self.rgs_ids)
+        return got
+
+    def hat_map(self, key: int) -> int:
+        shape = _hat_key(key, self.width)
+        got = self.hat_ids.get(shape)
+        if got is None:
+            prev_pos, size, starts, anchored = shape
+            mp: dict[int, list[int]] = {}
+            for rgs in self.partitions_of(size):
+                hat = _hat_b(prev_pos, starts, anchored, rgs)
+                if hat is not None:
+                    mp.setdefault(self.rgs_id(hat), []).append(self.rgs_id(rgs))
+            got = -1
+            if mp:
+                got = len(self.hat_list)
+                self.hat_list.append(mp)
+                self.hat_sizes.append(size)
+            self.hat_ids[shape] = got
+        self.hats[key] = got
+        return got
+
+    def pk_id(self, pk: tuple[int, ...]) -> int:
+        got = self.pk_ids.get(pk)
+        if got is None:
+            got = self.pk_ids[pk] = len(self.pk_list)
+            self.pk_list.append(pk)
+        return got
+
+
+# Each k's tables between solves.  A solve takes them out and puts them back
+# only when it succeeds, so two solves at once never share them and a refused
+# solve leaves none behind.
+_TABLES: dict[int, _Tables] = {}
+
+
 def _dp(prep: _Prep, stats: DpStats):
     """Minimum cost and the edges of an optimum, by the DP over cuts.
 
@@ -213,75 +295,24 @@ def _dp(prep: _Prep, stats: DpStats):
     endpoints.  The pull-back of a next-cut partition to the previous cut
     depends only on the relative shape of the two cuts.  Each cut edge gets
     one endpoint bit, so a color's shape is read from a small int key of
-    endpoint masks (``_hat_key``); per solve the hat maps are cached by that
-    key and by the shape it names, and the previous-partition ->
-    next-partitions products by the maps they combine.  Partitions and
-    partition vectors are handled by int ids.  The traceback keeps one parent
-    index and one dropped-edge id per state and cut.
+    endpoint masks (``_hat_key``).  The hat maps, by that key and by the shape
+    it names, and the previous-partition -> next-partitions products, by the
+    maps they combine, live in the k's ``_Tables``, which later solves reuse
+    while they were built under the current ``MAX_STATES_PER_CUT`` and hold at
+    most that many entries.  The traceback keeps one parent index and one
+    dropped-edge id per state and cut.
     """
     n, k = prep.n, prep.k
-    width = (1 << k) - 1  # a cut has at most one edge per color set
-    partitions: dict[int, list[tuple[int, ...]]] = {}
-
-    def partitions_of(t: int) -> list[tuple[int, ...]]:
-        got = partitions.get(t)
-        if got is None:
-            got = partitions[t] = list(set_partitions(t))
-        return got
-
-    # A partition (restricted-growth string) is handled by its id in rgs_ids.
-    rgs_ids: dict[tuple[int, ...], int] = {}
-
-    def rgs_id(rgs: tuple[int, ...]) -> int:
-        got = rgs_ids.get(rgs)
-        if got is None:
-            got = rgs_ids[rgs] = len(rgs_ids)
-        return got
-
-    # hat_list[id]: {hat partition id: next partition ids}, for one color's
-    # shape from _hat_key, and hat_sizes[id] its number of next endpoints;
-    # hat_ids holds the id by shape and hats by mask key, -1 when no
-    # partition is left.
-    hat_list: list[dict[int, list[int]]] = []
-    hat_sizes: list[int] = []
-    hat_ids: dict[tuple, int] = {}
-    hats: dict[int, int] = {}
-
-    def hat_map(key: int) -> int:
-        shape = _hat_key(key, width)
-        got = hat_ids.get(shape)
-        if got is None:
-            prev_pos, size, starts, anchored = shape
-            mp: dict[int, list[int]] = {}
-            for rgs in partitions_of(size):
-                hat = _hat_b(prev_pos, starts, anchored, rgs)
-                if hat is not None:
-                    mp.setdefault(rgs_id(hat), []).append(rgs_id(rgs))
-            got = -1
-            if mp:
-                got = len(hat_list)
-                hat_list.append(mp)
-                hat_sizes.append(size)
-            hat_ids[shape] = got
-        hats[key] = got
-        return got
-
-    # A partition vector (one partition id per color) is handled by its id in pk_list.
-    pk_ids: dict[tuple[int, ...], int] = {}
-    pk_list: list[tuple[int, ...]] = []
-
-    def pk_id(pk: tuple[int, ...]) -> int:
-        got = pk_ids.get(pk)
-        if got is None:
-            got = pk_ids[pk] = len(pk_list)
-            pk_list.append(pk)
-        return got
-
-    # pulls[map ids per color]: {previous pk id: next pk ids, empty if unreachable}
-    pulls: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    tables = _TABLES.pop(k, None)
+    if tables is None or tables.budget != MAX_STATES_PER_CUT:
+        tables = _Tables(k)
+    width, partitions_of, hat_map, pk_id = (tables.width, tables.partitions_of, tables.hat_map,
+                                            tables.pk_id)
+    hat_list, hat_sizes, hats, pk_list, pulls = (tables.hat_list, tables.hat_sizes, tables.hats,
+                                                 tables.pk_list, tables.pulls)
 
     # cut 0 has one state: no cut edges, every color's partition empty
-    empty = (rgs_id(()),) * k
+    empty = (tables.rgs_id(()),) * k
     states: dict[int, dict[int, int]] = {0: {pk_id(empty): 0}}
     vals = [0.0]
     # trace[cut - 1]: (parent index per state, dropped-edge id per state, dropped edges)
@@ -364,6 +395,7 @@ def _dp(prep: _Prep, stats: DpStats):
                                         MAX_STATES_PER_CUT, "collinear.MAX_STATES_PER_CUT",
                                         at_least=True, per="cut")
                                 pks = memo[kappa] = [pk_id(pk) for pk in product(*opts)]
+                            tables.pulled += 1 + len(pks)
                         if not pks:
                             continue
                         cand = vals[j] + charge
@@ -393,9 +425,11 @@ def _dp(prep: _Prep, stats: DpStats):
         # the Bell numbers grow with the width, so the widest color has the most
         stats.per_cut_max_pi_per_color.append(len(partitions_of(max(map(widths.get, states)))))
 
-    final = states.get(0, {}).get(pk_ids.get(empty))
+    final = states.get(0, {}).get(tables.pk_ids.get(empty))
     if final is None:
         raise RuntimeError("collinear DP missed the terminal state (internal error)")
+    if tables.pulled + len(pk_list) + len(hats) <= MAX_STATES_PER_CUT:
+        _TABLES[k] = tables
     cost = vals[final]
     edges: list[tuple[int, int]] = []
     j = final

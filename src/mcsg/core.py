@@ -178,24 +178,33 @@ _EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 _EMPTY_EDGES.setflags(write=False)
 
 
+def _edge_ends(edges, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger endpoint of each edge, as int64 arrays,
+    after the checks every edge collection gets: no self-loop and, given n,
+    every endpoint in 0..n-1.  Nothing is sorted or deduped."""
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = arr.reshape(-1, 2)
+    a, b = arr[:, 0], arr[:, 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if lo.size:
+        if (lo == hi).any():
+            raise FormatError("self-loop edge")
+        if n is not None and (lo.min() < 0 or hi.max() >= n):
+            raise FormatError("edge endpoint out of range")
+    return lo, hi
+
+
 def as_edges(edges, n: int | None = None) -> np.ndarray:
     """Canonicalize an edge collection: int64 (m, 2), a < b, sorted, deduped."""
     if isinstance(edges, np.ndarray) and edges.size == 0:
         return _EMPTY_EDGES
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if arr.size == 0:
+    lo, hi = _edge_ends(edges, n)
+    if lo.size == 0:
         return _EMPTY_EDGES
-    arr = arr.reshape(-1, 2)
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
-    if (lo == hi).any():
-        raise FormatError("self-loop edge")
-    base, top = lo.min(), hi.max()
-    if n is not None and (base < 0 or top >= n):
-        raise FormatError("edge endpoint out of range")
     # One key per edge that sorts like (lo, hi), deduped by np.sort plus an
     # adjacent compare: np.unique hashes int keys (numpy 2.4), which is an
     # order of magnitude slower than sorting them.
+    base, top = lo.min(), hi.max()
     span = top - base + 1
     key = np.sort((lo - base) * span + (hi - base))
     if key.size > 1:
@@ -215,8 +224,8 @@ def first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def merge_edges(*edge_sets) -> np.ndarray:
-    """Edge collections stacked into one int64 (m, 2) array, left for its
-    consumer (``make_solution``, ``is_csg``) to canonicalise once."""
+    """Edge collections stacked into one int64 (m, 2) array, left for
+    ``make_solution`` to canonicalise once (``is_csg`` needs no canonical form)."""
     parts = [np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.int64).reshape(-1, 2)
              for e in edge_sets]
     return np.concatenate(parts) if parts else _EMPTY_EDGES
@@ -239,20 +248,22 @@ def is_csg(inst: Instance, edges) -> bool:
     For every color c the subgraph induced by the class of c, using only the
     edges whose endpoints share c, must be connected (vacuous for classes of
     size <= 1).  Edges with an empty shared color set are ignored.  Each class
-    is labelled by ``_hook_labels``, in numpy alone.
+    is labelled by ``_hook_labels``, in numpy alone.  The edges are checked
+    like ``as_edges``' but neither sorted nor deduped, which labelling does
+    not need.
     """
-    e = as_edges(edges, inst.n)
-    shared = (inst.masks[e[:, 0]] & inst.masks[e[:, 1]]) if e.size else np.zeros(0, np.uint32)
+    a, b = _edge_ends(edges, inst.n)
+    shared = inst.masks[a] & inst.masks[b]
     for c in range(1, inst.k + 1):
         members = inst.color_class(c)
         if members.size <= 1:
             continue
-        ec = e[(shared & np.uint32(1 << (c - 1))) != 0]
-        if ec.shape[0] < members.size - 1:
+        has_c = (shared & np.uint32(1 << (c - 1))) != 0
+        if np.count_nonzero(has_c) < members.size - 1:
             return False
         pos = np.full(inst.n, -1, dtype=np.int64)
         pos[members] = np.arange(members.size)
-        if _hook_labels(members.size, pos[ec[:, 0]], pos[ec[:, 1]])[0].any():
+        if _hook_labels(members.size, pos[a[has_c]], pos[b[has_c]])[0].any():
             return False
     return True
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,18 @@ def _json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
 
 
+def _pinned_result(n, k, frac, seed):
+    sol, stats = collinear.dp_solve_with_stats(core.generate_collinear(n, k, frac, seed))
+    return ((sol.cost, _digest(sol.edges)),
+            (stats.total_states, max(stats.per_cut_states), max(stats.per_cut_max_pi_per_color),
+             _json_digest([stats.per_cut_states, stats.per_cut_max_pi_per_color])))
+
+
+def _pinned_want(i):
+    n, k, frac, seed, cost, digest = PINNED[i]
+    return (cost, digest), PINNED_STATS[i]
+
+
 def test_dp_outputs_pinned():
     for n, k, frac, seed, cost, digest in PINNED:
         sol = collinear.dp_solve(core.generate_collinear(n, k, frac, seed))
@@ -364,21 +377,101 @@ def test_dp_outputs_pinned():
 def test_dp_stats_pinned():
     # perfbench reads these counts; the other tests check only their bounds
     for (n, k, frac, seed, _, _), want in zip(PINNED, PINNED_STATS, strict=True):
-        _, stats = collinear.dp_solve_with_stats(core.generate_collinear(n, k, frac, seed))
-        got = (stats.total_states, max(stats.per_cut_states), max(stats.per_cut_max_pi_per_color),
-               _json_digest([stats.per_cut_states, stats.per_cut_max_pi_per_color]))
-        assert got == want, (n, k, frac, seed)
+        assert _pinned_result(n, k, frac, seed)[1] == want, (n, k, frac, seed)
+
+
+def test_shared_tables_never_change_output(monkeypatch):
+    # Each k's transition tables outlive a solve, and their ids depend on
+    # the solves before; no output may.  Reverse the pinned order, and put a
+    # k = 4 line, a k = 2 line and a line the budget refuses between the
+    # pinned ones, so every pinned line meets tables that other lines built.
+    monkeypatch.setattr(collinear, "_TABLES", {})
+    others = [(18, 4, 0.2, 9), (40, 2, 0.5, 9)]
+    refused = core.generate_collinear(24, 4, 1.0, 1)
+    for i in reversed(range(len(PINNED))):
+        assert _pinned_result(*PINNED[i][:4]) == _pinned_want(i), PINNED[i][:4]
+        collinear.dp_solve(core.generate_collinear(*others[i % 2]))
+        if i % 5 == 0:
+            assert 4 in collinear._TABLES
+            with pytest.raises(core.RefusalError, match="cut 10 of 24 needs at least 202800 states"):
+                collinear.dp_solve(refused)
+            assert 4 not in collinear._TABLES  # a refused solve keeps no tables
+    assert {2, 3} <= collinear._TABLES.keys()
+
+
+def test_shared_tables_under_threads(monkeypatch):
+    # Solves at once each take a k's tables out or build their own.  More
+    # threads than cores and a short switch interval make them interleave
+    # within a solve.
+    monkeypatch.setattr(collinear, "_TABLES", {})
+    orders = [list(range(len(PINNED)))[r:] + list(range(len(PINNED)))[:r] for r in (0, 5, 10, 15)]
+    orders[1].reverse()
+    got: dict[int, list] = {}
+
+    def run(t):
+        got[t] = [_pinned_result(*PINNED[i][:4]) for i in orders[t]]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for t, order in enumerate(orders):
+        assert got[t] == [_pinned_want(i) for i in order], t
+    # a table that two solves wrote at once could lose an id or a count
+    for tables in collinear._TABLES.values():
+        assert all(tables.pk_ids[pk] == i for i, pk in enumerate(tables.pk_list))
+        assert tables.pulled == sum(1 + len(v) for m in tables.pulls.values() for v in m.values())
 
 
 def test_state_budget_boundary(monkeypatch):
-    # k = 4, n = 20: its largest cut holds 148 states
+    # k = 4, n = 20: its largest cut holds 148 states.  The tables are warm
+    # from a solve under the default budget, so the refusal must not depend
+    # on them.
     inst = core.generate_collinear(20, 4, 0.3, 7)
+    collinear.dp_solve(inst)
     monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 148)
     _, stats = collinear.dp_solve_with_stats(inst)
     assert max(stats.per_cut_states) == 148
     monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 147)
     with pytest.raises(core.RefusalError, match=r"needs at least 148 states, 1 over the budget of 147"):
         collinear.dp_solve(inst)
+
+
+def test_refusal_after_warm_tables_matches_cold(monkeypatch):
+    # Cold, cut 2 of this line refuses on one pull product of 50 states,
+    # before any state is made.  A warm pull entry must not skip that check
+    # once the budget is lowered.
+    inst = core.generate_collinear(12, 4, 0.6, 0)
+    want = r"cut 2 of 12 needs at least 50 states, 25 over the budget of 25 "
+    monkeypatch.setattr(collinear, "_TABLES", {})
+    monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 25)
+    with pytest.raises(core.RefusalError, match=want):
+        collinear.dp_solve(inst)
+    monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 100_000)
+    collinear.dp_solve(inst)
+    assert 4 in collinear._TABLES
+    monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 25)
+    with pytest.raises(core.RefusalError, match=want):
+        collinear.dp_solve(inst)
+
+
+def test_tables_over_the_cap_are_not_kept(monkeypatch):
+    # With the budget at the line's largest cut, the solve succeeds but its
+    # tables hold more entries than the budget, so none are kept.
+    inst = core.generate_collinear(20, 4, 0.3, 7)
+    monkeypatch.setattr(collinear, "_TABLES", {})
+    collinear.dp_solve(inst)
+    assert collinear._TABLES[4].pulled > 148
+    monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 148)
+    collinear.dp_solve(inst)
+    assert collinear._TABLES == {}
 
 
 def test_state_budget_refuses_large_k4_line(tmp_path):
