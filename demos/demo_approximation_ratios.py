@@ -5,12 +5,13 @@ best of six candidates built around the MST of the all-three-color points
 (ratio 2 - 1/(3 + 2 rho) with the Steiner ratio bound rho = 1.21).
 """
 
-from mcsg import approx3, oracle
+from mcsg import approx3
+from mcsg.cli import ratio_bench
 
 config = approx3.ApproxConfig()
 print(f"certified bounds: a1 <= 2.0, a2 <= {config.ratio_a2:.6f}")
 
-report = oracle.ratio_bench("random", ["a1", "a2"], seeds=60, n_max=6, k=3)
+report = ratio_bench("random", ["a1", "a2"], seeds=60, n_max=6, k=3)
 for algo in ("a1", "a2"):
     print(f"{algo}: max observed ratio {report.max_ratio(algo):.4f}, "
           f"mean {report.mean_ratio(algo):.4f}")

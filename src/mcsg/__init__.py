@@ -6,8 +6,8 @@ This package provides the domain model and validity checker (``core``),
 per-color MSTs with forced-edge pruning (``mst``), an exact 2-color solver
 (``exact2``), 2- and 1.816-approximations for 3 colors (``approx3``), a
 linear-time exact DP for collinear points (``collinear``), a brute-force
-oracle and benchmark harness (``oracle``), NP-hardness gadget generation
-(``gadgets``), SVG rendering (``render``), and a command line (``cli``).
+oracle (``oracle``), NP-hardness gadget generation (``gadgets``), SVG
+rendering (``render``), and a command line with the ratio benchmark (``cli``).
 """
 
 from . import approx3, collinear, exact2, gadgets, mst, oracle, render

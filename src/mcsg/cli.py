@@ -1,21 +1,27 @@
 """Command-line front end: solving, generation, benchmarking, rendering.
 
-``solve --mode`` runs one solver: ``auto`` dispatches, ``a1`` and ``a2`` are
-the k = 3 approximations and ``oracle`` is the brute-force ground truth.
+``solve --mode`` runs one solver of ``MODES`` through ``solve_dispatch``, the
+one table from mode name to solver: ``auto`` dispatches, ``a1`` and ``a2``
+are the k = 3 approximations and ``oracle`` is the brute-force ground truth.
 ``exact2`` solves one color pair, ``collinear`` runs the line DP and prints
-its per-cut state counts on ``--stats``.
+its per-cut state counts on ``--stats``.  ``bench`` scores the same modes
+against the oracle (``ratio_bench``) and names each refusal on stderr.
 
 Exit codes: 0 success, 1 usage error, 2 solver refusal, 3 internal
 invariant violation.  Every solution is validated against the spanning
-check before it is written.
+check before it is written or scored.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
+import math
 import sys
+from dataclasses import dataclass, field
+from typing import IO
 
 from . import approx3, collinear, exact2, gadgets, mst, oracle
 from .core import (
@@ -27,6 +33,7 @@ from .core import (
     is_csg,
     load_instance,
     make_solution,
+    generate_all_black,
     generate_collinear,
     generate_random,
     instance_to_json,
@@ -37,6 +44,10 @@ from .core import (
 from .render import render_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_INVARIANT = 0, 1, 2, 3
+
+# The modes solve_dispatch knows: `solve --mode`'s choices and the names
+# `bench --algos` accepts.
+MODES = ("auto", "exact2", "a1", "a2", "dp", "pairing", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,10 +104,14 @@ def solve_dispatch(inst: Instance, mode: str = "auto") -> Solution:
     raise FormatError(f"unknown mode: {mode}")
 
 
-def _emit_solution(inst: Instance, sol: Solution, output: str | None,
-                   svg: str | None = None) -> None:
+def _check_spanning(inst: Instance, sol: Solution) -> None:
     if not is_csg(inst, sol.edges):
         raise RuntimeError("produced edge set is not a colored spanning graph")
+
+
+def _emit_solution(inst: Instance, sol: Solution, output: str | None,
+                   svg: str | None = None) -> None:
+    _check_spanning(inst, sol)
     _write(solution_to_json(sol), output)
     if svg:
         with open(svg, "wb") as fh:
@@ -119,8 +134,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="dispatch to the best applicable solver")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
-    sp.add_argument("--mode", default="auto",
-                    choices=["auto", "exact2", "a1", "a2", "dp", "pairing", "oracle"])
+    sp.add_argument("--mode", default="auto", choices=MODES)
     sp.add_argument("--svg", help="also write a rendering of the solution")
 
     sp = sub.add_parser("exact2", help="exact solver for one color pair")
@@ -266,8 +280,123 @@ def _cmd_gen_gadget(args) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# ratio benchmark
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    seed: int
+    n: int
+    k: int
+    opt: float
+    algo: str
+    cost: float
+    ratio: float
+    bound: float  # the ratio_bound of the solution scored here
+
+
+@dataclass
+class BenchReport:
+    rows: list[BenchRow] = field(default_factory=list)
+    failures: list[tuple[int, str, str]] = field(default_factory=list)
+
+    def max_ratio(self, algo: str) -> float:
+        return max((r.ratio for r in self.rows if r.algo == algo), default=math.nan)
+
+    def mean_ratio(self, algo: str) -> float:
+        vals = [r.ratio for r in self.rows if r.algo == algo]
+        return sum(vals) / len(vals) if vals else math.nan
+
+    def bound(self, algo: str) -> float | None:
+        """The loosest bound certified on the algorithm's rows."""
+        return max((r.bound for r in self.rows if r.algo == algo), default=None)
+
+    def violations(self) -> list[BenchRow]:
+        return [r for r in self.rows if r.ratio > r.bound + 1e-9]
+
+    def write_csv(self, target: str | IO) -> None:
+        fh = open(target, "w", newline="", encoding="utf-8") if isinstance(target, str) else target
+        try:
+            w = csv.writer(fh)
+            w.writerow(["seed", "n", "k", "opt", "algo", "cost", "ratio"])
+            for r in self.rows:
+                w.writerow([r.seed, r.n, r.k, repr(r.opt), r.algo, repr(r.cost), repr(r.ratio)])
+        finally:
+            if isinstance(target, str):
+                fh.close()
+
+
+def _make_family(family: str, seed: int, n_max: int, k: int, fraction: float) -> Instance:
+    n = 3 + seed % (n_max - 2)
+    if family == "random":
+        return generate_random(n, k, fraction, seed)
+    if family == "collinear":
+        return generate_collinear(n, k, fraction, seed)
+    if family == "allblack":
+        return generate_all_black(n, seed)
+    raise ValueError(f"unknown family: {family}")
+
+
+def ratio_bench(
+    family: str,
+    algorithms: list[str],
+    seeds: int,
+    *,
+    n_max: int = 6,
+    k: int = 3,
+    fraction: float = 0.5,
+) -> BenchReport:
+    """Compare ``solve`` modes against the brute-force optimum over seeded instances.
+
+    Instance sizes cycle through 3..``n_max``; each row keeps the certified
+    ``ratio_bound`` of the solution it scores.  A refusal on one seed is
+    recorded and the run continues; a bad parameter raises FormatError before
+    any solve (``seeds`` below 1, ``n_max`` below 3, no algorithm, one not in
+    ``MODES`` or a repeated one, an ``allblack`` k other than 3, or a
+    generator's own check), and a mode that does not take the family's k
+    raises FormatError from ``solve_dispatch``.
+    """
+    if seeds < 1:
+        raise FormatError(f"seeds must be at least 1, got {seeds}")
+    if n_max < 3:
+        raise FormatError(f"n_max must be at least 3, got {n_max}")
+    if not algorithms:
+        raise FormatError(f"no algorithm to compare; choose from {', '.join(MODES)}")
+    for i, name in enumerate(algorithms):
+        if name not in MODES:
+            raise FormatError(f"unknown algorithm: {name}")
+        if name in algorithms[:i]:
+            raise FormatError(f"algorithm named twice: {name}")
+    if family == "allblack" and k != 3:
+        raise FormatError(f"the allblack family has k = 3, got k = {k}")
+    report = BenchReport()
+
+    for seed in range(seeds):
+        try:
+            inst = _make_family(family, seed, n_max, k, fraction)
+            opt = oracle.brute_force(inst).cost
+        except RefusalError as exc:
+            report.failures.append((seed, "oracle", str(exc)))
+            continue
+        for name in algorithms:
+            try:
+                sol = solve_dispatch(inst, name)
+            except RefusalError as exc:
+                report.failures.append((seed, name, str(exc)))
+                continue
+            _check_spanning(inst, sol)
+            if opt <= 0:
+                ratio = 1.0 if sol.cost <= 0 else math.inf
+            else:
+                ratio = sol.cost / opt
+            report.rows.append(BenchRow(seed=seed, n=inst.n, k=inst.k, opt=opt, algo=name,
+                                        cost=sol.cost, ratio=ratio, bound=sol.ratio_bound))
+    return report
+
+
 def _cmd_bench(args) -> int:
-    report = oracle.ratio_bench(
+    report = ratio_bench(
         args.family,
         [a.strip() for a in args.algos.split(",") if a.strip()],
         args.seeds,
@@ -278,7 +407,9 @@ def _cmd_bench(args) -> int:
     report.write_csv(args.out)
     for algo in sorted({r.algo for r in report.rows}):
         print(f"{algo}: max ratio {report.max_ratio(algo):.6f} "
-              f"mean {report.mean_ratio(algo):.6f} bound {report.bounds.get(algo)}")
+              f"mean {report.mean_ratio(algo):.6f} bound {report.bound(algo)}")
+    for seed, name, message in report.failures:
+        print(f"seed {seed}: {name} refused: {message}", file=sys.stderr)
     bad = report.violations()
     if bad:
         print(f"{len(bad)} bound violations", file=sys.stderr)

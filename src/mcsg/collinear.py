@@ -29,8 +29,8 @@ from math import prod
 
 import numpy as np
 
-from .core import (Instance, RefusalError, Solution, costs_equal, is_csg, make_solution,
-                   over_budget, set_partitions)
+from .core import (Instance, RefusalError, Solution, costs_equal, make_solution, over_budget,
+                   set_partitions)
 
 # The most colors a line may have: the gamma-sets of a cut range over subsets
 # of the 2^k - 1 color sets.
@@ -77,7 +77,6 @@ class _Prep:
     def __init__(self, inst: Instance):
         if inst.k > K_GUARD:
             raise over_budget("collinear DP", inst.k, "colors", K_GUARD, "collinear.K_GUARD")
-        self.inst = inst
         self.k = inst.k
         order, t = collinear_order(inst)
         self.order = order
@@ -451,8 +450,6 @@ def dp_solve_with_stats(inst: Instance) -> tuple[Solution, DpStats]:
     cost, local_edges = _dp(prep, stats)
     edges = [(int(prep.order[a]), int(prep.order[b])) for a, b in local_edges]
     sol = make_solution(inst, edges, "dp", ratio_bound=1.0)
-    if not costs_equal(sol.cost, cost):
+    if not costs_equal(sol.cost, cost):  # its callers check the spanning property
         raise RuntimeError("collinear DP cost does not match its edge set")
-    if not is_csg(inst, sol.edges):
-        raise RuntimeError("collinear DP produced a non-spanning edge set")
     return sol, stats

@@ -1,4 +1,4 @@
-"""Brute-force ground truth and the approximation-ratio benchmark harness.
+"""Brute-force ground truth.
 
 The oracle enumerates subsets of the candidate edges (pairs with a nonempty
 shared color) with branch-and-bound and is the arbiter for every acceptance
@@ -10,29 +10,15 @@ nothing.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from . import approx3, exact2
 from .collinear import collinear_order
-from .core import (
-    FormatError,
-    Instance,
-    RefusalError,
-    Solution,
-    as_edges,
-    generate_all_black,
-    generate_collinear,
-    generate_random,
-    make_solution,
-    over_budget,
-)
+from .core import Instance, RefusalError, Solution, as_edges, make_solution, over_budget
 from .mst import index_pairs
 
 # The most candidate edges brute_force accepts: its branch-and-bound walks
@@ -158,119 +144,3 @@ def brute_force(
     if best_edges is None:
         raise RefusalError("no colored spanning graph exists over the candidate edges")
     return make_solution(inst, best_edges, "oracle", ratio_bound=1.0)
-
-
-# ---------------------------------------------------------------------------
-# benchmark harness
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    seed: int
-    n: int
-    k: int
-    opt: float
-    algo: str
-    cost: float
-    ratio: float
-
-
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-    failures: list[tuple[int, str, str]] = field(default_factory=list)
-    bounds: dict[str, float] = field(default_factory=dict)
-
-    def max_ratio(self, algo: str) -> float:
-        vals = [r.ratio for r in self.rows if r.algo == algo]
-        return max(vals) if vals else math.nan
-
-    def mean_ratio(self, algo: str) -> float:
-        vals = [r.ratio for r in self.rows if r.algo == algo]
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def violations(self) -> list[BenchRow]:
-        return [r for r in self.rows if r.ratio > self.bounds.get(r.algo, math.inf) + 1e-9]
-
-    def write_csv(self, target: str | IO) -> None:
-        fh = open(target, "w", newline="", encoding="utf-8") if isinstance(target, str) else target
-        try:
-            w = csv.writer(fh)
-            w.writerow(["seed", "n", "k", "opt", "algo", "cost", "ratio"])
-            for r in self.rows:
-                w.writerow([r.seed, r.n, r.k, repr(r.opt), r.algo, repr(r.cost), repr(r.ratio)])
-        finally:
-            if isinstance(target, str):
-                fh.close()
-
-
-def _make_family(family: str, seed: int, n_max: int, k: int, fraction: float) -> Instance:
-    n = 3 + seed % (n_max - 2)
-    if family == "random":
-        return generate_random(n, k, fraction, seed)
-    if family == "collinear":
-        return generate_collinear(n, k, fraction, seed)
-    if family == "allblack":
-        return generate_all_black(n, seed)
-    raise ValueError(f"unknown family: {family}")
-
-
-def ratio_bench(
-    family: str,
-    algorithms: list[str],
-    seeds: int,
-    *,
-    n_max: int = 6,
-    k: int = 3,
-    fraction: float = 0.5,
-) -> BenchReport:
-    """Compare algorithms against the brute-force optimum over seeded instances.
-
-    Instance sizes cycle through 3..``n_max``; each algorithm's bound is its
-    solutions' certified ``ratio_bound``.  A refusal on one seed is recorded
-    and the run continues; a bad parameter raises FormatError before any
-    solve (``seeds`` below 1, ``n_max`` below 3, no algorithm, an unknown or
-    repeated one, an ``allblack`` k other than 3, or a generator's own check).
-    """
-    runners = {
-        "a1": approx3.approx_a1,
-        "a2": approx3.approx_a2,
-        "exact2": lambda inst: exact2.solve_pair(exact2.project_pair(inst, 1, 2)),
-    }
-    if seeds < 1:
-        raise FormatError(f"seeds must be at least 1, got {seeds}")
-    if n_max < 3:
-        raise FormatError(f"n_max must be at least 3, got {n_max}")
-    if not algorithms:
-        raise FormatError(f"no algorithm to compare; choose from {', '.join(runners)}")
-    for i, name in enumerate(algorithms):
-        if name not in runners:
-            raise FormatError(f"unknown algorithm: {name}")
-        if name in algorithms[:i]:
-            raise FormatError(f"algorithm named twice: {name}")
-    if family == "allblack" and k != 3:
-        raise FormatError(f"the allblack family has k = 3, got k = {k}")
-    report = BenchReport()
-
-    for seed in range(seeds):
-        try:
-            inst = _make_family(family, seed, n_max, k, fraction)
-            opt = brute_force(inst).cost
-        except RefusalError as exc:
-            report.failures.append((seed, "oracle", str(exc)))
-            continue
-        for name in algorithms:
-            try:
-                sol = runners[name](inst)
-            except RefusalError as exc:
-                report.failures.append((seed, name, str(exc)))
-                continue
-            report.bounds[name] = sol.ratio_bound
-            if opt <= 0:
-                ratio = 1.0 if sol.cost <= 0 else math.inf
-            else:
-                ratio = sol.cost / opt
-            report.rows.append(
-                BenchRow(seed=seed, n=inst.n, k=inst.k, opt=opt, algo=name, cost=sol.cost, ratio=ratio)
-            )
-    return report

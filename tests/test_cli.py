@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mcsg import cli, collinear, core, oracle
+from mcsg import cli, collinear, core, exact2, oracle
 from mcsg.render import render_svg
 
 
@@ -181,6 +182,161 @@ def test_bench_rejects_bad_parameters(tmp_path, capsys, flags, message):
     assert run("bench", *flags, "--seeds", "2", "--out", str(csv_out)) == 1
     assert message in capsys.readouterr().err
     assert not csv_out.exists()
+
+
+def test_ratio_bench_families():
+    # on all-black instances both halves of a1 collapse to one MST
+    report = cli.ratio_bench("allblack", ["a1"], 6)
+    assert report.max_ratio("a1") == pytest.approx(1.0, abs=1e-9)
+    report = cli.ratio_bench("random", ["a2"], 8, k=3, fraction=0.5)
+    assert report.max_ratio("a2") <= 2 - 1 / (3 + 2 * 1.21) + 1e-9
+    report = cli.ratio_bench("random", ["exact2"], 8, k=2, fraction=0.5)
+    assert report.max_ratio("exact2") == pytest.approx(1.0, abs=1e-9)
+    assert not report.violations()
+
+
+def test_ratio_bench_bounds_come_from_the_solutions():
+    report = cli.ratio_bench("random", ["a1", "a2"], 4, k=3)
+    a2_bound = 2 - 1 / (3 + 2 * 1.21)
+    assert {(r.algo, r.bound) for r in report.rows} == {("a1", 2.0), ("a2", a2_bound)}
+    assert (report.bound("a1"), report.bound("a2"), report.bound("dp")) == (2.0, a2_bound, None)
+    assert {r.n for r in cli.ratio_bench("random", ["a1"], 4, n_max=3).rows} == {3}
+    for n_max in (2, 0, -5):
+        with pytest.raises(core.FormatError, match="n_max must be at least 3"):
+            cli.ratio_bench("random", ["a1"], 4, n_max=n_max)
+    # each row is judged by its own bound
+    row = cli.BenchRow(seed=0, n=3, k=3, opt=1.0, algo="auto", cost=1.5, ratio=1.5, bound=2.0)
+    report = cli.BenchReport(rows=[row, dataclasses.replace(row, seed=1, bound=1.0)])
+    assert [r.seed for r in report.violations()] == [1]
+
+
+def test_ratio_bench_records_failures_and_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(exact2, "M_LIMIT", 2)
+    report = cli.ratio_bench("random", ["exact2"], 5, n_max=6, k=2, fraction=1.0)
+    assert report.failures  # M_LIMIT refusals recorded, run continued
+    out = tmp_path / "r.csv"
+    report.write_csv(str(out))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "seed,n,k,opt,algo,cost,ratio"
+
+
+@pytest.mark.parametrize("family, k, algos", [
+    ("collinear", 3, ["dp", "auto", "oracle"]),
+    ("collinear", 2, ["dp", "auto", "exact2"]),
+    ("random", 3, ["auto", "a1", "a2"]),
+    ("random", 4, ["pairing", "auto", "oracle"]),
+])
+def test_ratio_bench_runs_every_solve_mode(family, k, algos):
+    report = cli.ratio_bench(family, algos, 6, k=k)
+    assert not report.failures and not report.violations()
+    assert [r.algo for r in report.rows] == algos * 6
+    for r in report.rows:
+        if r.algo in ("dp", "oracle", "exact2") or (r.algo == "auto" and family == "collinear"):
+            assert r.ratio == pytest.approx(1.0) and r.bound == 1.0
+    if "pairing" in algos:
+        assert {r.bound for r in report.rows if r.algo == "pairing"} == {2}
+
+
+def test_bench_accepts_every_solve_mode(tmp_path, capsys):
+    # exact2 takes k <= 2 only; the pinned bench runs below run it at k = 2
+    modes = [m for m in cli.MODES if m != "exact2"]
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", "--family", "collinear", "--algos", ",".join(modes), "--n-max", "5",
+               "--seeds", "3", "--out", str(csv_out)) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == sorted(modes)
+    assert len(csv_out.read_text().splitlines()) == 1 + 3 * len(modes)
+
+
+def test_bench_exact2_needs_two_colors_as_solve_does(tmp_path, capsys):
+    # the bench once scored exact2 on colors 1 and 2 of a k = 3 instance
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", "--algos", "exact2", "--k", "3", "--seeds", "10",
+               "--out", str(csv_out)) == 1
+    assert "mode exact2 needs k <= 2" in capsys.readouterr().err
+    assert not csv_out.exists()
+
+
+def test_bench_auto_keeps_the_fallback_bound(tmp_path, capsys, monkeypatch):
+    # a budget of two states per cut refuses the longer lines, which go to A2
+    monkeypatch.setattr(collinear, "MAX_STATES_PER_CUT", 2)
+    a2_bound = 2 - 1 / (3 + 2 * 1.21)
+    report = cli.ratio_bench("collinear", ["auto"], 8, k=3)
+    want = []
+    for seed in range(8):
+        try:
+            collinear.dp_solve(cli._make_family("collinear", seed, 6, 3, 0.5))
+            want.append(1.0)
+        except core.RefusalError:
+            want.append(a2_bound)
+    assert [r.bound for r in report.rows] == want
+    assert set(want) == {1.0, a2_bound}
+    assert not report.violations()
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", "--family", "collinear", "--algos", "auto", "--seeds", "8",
+               "--out", str(csv_out)) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"bound {a2_bound}")
+
+
+def test_bench_reports_refusals_on_stderr(tmp_path, capsys):
+    # seeds 6-9 have 9-12 points, too many candidate edges for the oracle
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", "--seeds", "12", "--n-max", "12", "--out", str(csv_out)) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"seed {s}" for s in range(6, 10)]
+    assert all(" oracle refused: oracle needs " in line for line in lines)
+    assert "(oracle.MAX_CANDIDATE_EDGES)" in lines[0]
+    assert captured.out.splitlines()[0] == "a1: max ratio 1.228383 mean 1.066230 bound 2.0"
+    assert {int(line.split(",")[0]) for line in csv_out.read_text().splitlines()[1:]} == \
+        set(range(6)) | {10, 11}
+
+
+# sha256 of the CSV and of stdout of `mcsg bench --algos ALGOS --k K --seeds 8`,
+# recorded before the bench ran its modes through solve_dispatch.
+BENCH_DIGESTS = {
+    ("random", "a1", "3"): ("42c262c2b998ec683839d5ed15d770e1d9ce40c0fb549841f8ca41444555fc1c",
+                            "f2e39f5c11ceca661c915d4f2b9aec964bc5e3917e5ffacb34183db3f137db95"),
+    ("random", "a2", "3"): ("afd3e552127643eb09f0b6dd7917620eca92d0281c98f1a5023d7ba024c63dd0",
+                            "bed2bc92413d89a661355712dcf1c64cda1374e3472415696f0f074ae692e6c7"),
+    ("random", "a1,a2", "3"): ("c7ea54ab2f41c4bd5e5872bb9e0d4825acf6d8be62e714a71cc8d2491f25e379",
+                               "dcbdb25198f4c6aa8f7937b70f0064b96ec390b1f56dace354128e6ff01e923d"),
+    ("random", "exact2", "2"): ("fb795fea4daa0076d97c79e4df1ea37b8e57bbdc5e864b34bccbff46d1176003",
+                                "94afd359c9a0bf95bd092577f7ee1c46a0216aba8b9f4ebaaebcf4becf919af0"),
+    ("allblack", "a1", "3"): ("cb531cf787958d8f8cede6337c77b0949d21df2adc7991cc68ad370f1cce8a0c",
+                              "96f459147a085dbfba08d65b3454bbe299e68a88af9504c1a30e0d8bf5c49ed8"),
+}
+
+
+@pytest.mark.parametrize("family, algos, k", list(BENCH_DIGESTS))
+def test_bench_outputs_pinned(tmp_path, capsys, family, algos, k):
+    csv_out = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert run("bench", "--family", family, "--algos", algos, "--k", k, "--seeds", "8",
+               "--out", str(csv_out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digests = (hashlib.sha256(csv_out.read_bytes()).hexdigest(),
+               hashlib.sha256(captured.out.encode()).hexdigest())
+    assert digests == BENCH_DIGESTS[family, algos, k]
+
+
+def test_spanning_check_catches_a_bad_dp_answer(tmp_path, capsys, monkeypatch):
+    # a DP answer whose cost matches its edges but that leaves a class split
+    real_dp = collinear._dp
+
+    def drop_last_edge(prep, stats):
+        cost, edges = real_dp(prep, stats)
+        return cost - prep.weight(*edges[-1]), edges[:-1]
+
+    monkeypatch.setattr(collinear, "_dp", drop_last_edge)
+    path = tmp_path / "line.json"
+    path.write_text(core.instance_to_json(core.generate_collinear(7, 3, 0.4, 1)))
+    capsys.readouterr()
+    for words in (("solve",), ("solve", "--mode", "dp"), ("collinear",)):
+        assert run(*words, "--input", str(path)) == 3
+        assert "not a colored spanning graph" in capsys.readouterr().err
+    with pytest.raises(RuntimeError, match="not a colored spanning graph"):
+        cli.ratio_bench("collinear", ["dp"], 3)
 
 
 def test_gen_gadget_with_witness(tmp_path, capsys):

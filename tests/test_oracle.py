@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsg import collinear, core, exact2, mst, oracle
+from mcsg import cli, collinear, core, mst, oracle
 
 
 def naive_optimum(inst: core.Instance, required=()) -> float:
@@ -183,31 +183,11 @@ def test_forced_edges_do_not_change_optimum():
         assert constrained.cost == pytest.approx(free.cost, rel=1e-9)
 
 
-def test_ratio_bench_families():
-    # on all-black instances both halves of a1 collapse to one MST
-    report = oracle.ratio_bench("allblack", ["a1"], 6)
-    assert report.max_ratio("a1") == pytest.approx(1.0, abs=1e-9)
-    report = oracle.ratio_bench("random", ["a2"], 8, k=3, fraction=0.5)
-    assert report.max_ratio("a2") <= 2 - 1 / (3 + 2 * 1.21) + 1e-9
-    report = oracle.ratio_bench("random", ["exact2"], 8, k=2, fraction=0.5)
-    assert report.max_ratio("exact2") == pytest.approx(1.0, abs=1e-9)
-    assert not report.violations()
-
-
-def test_ratio_bench_bounds_come_from_the_solutions():
-    report = oracle.ratio_bench("random", ["a1", "a2"], 4, k=3)
-    assert report.bounds == {"a1": 2.0, "a2": 2 - 1 / (3 + 2 * 1.21)}
-    assert {r.n for r in oracle.ratio_bench("random", ["a1"], 4, n_max=3).rows} == {3}
-    for n_max in (2, 0, -5):
-        with pytest.raises(core.FormatError, match="n_max must be at least 3"):
-            oracle.ratio_bench("random", ["a1"], 4, n_max=n_max)
-
-
 @pytest.mark.parametrize("algorithms, seeds, message", [
     (["a1"], 0, "seeds must be at least 1, got 0"),
     (["a1"], -3, "seeds must be at least 1, got -3"),
     (["a1", "foo"], 4, "unknown algorithm: foo"),
-    ([], 4, "no algorithm to compare; choose from a1, a2, exact2"),
+    ([], 4, "no algorithm to compare; choose from auto, exact2, a1, a2, dp, pairing, oracle"),
     (["a1", "a2", "a1"], 4, "algorithm named twice: a1"),
 ])
 def test_ratio_bench_checks_parameters_before_any_solve(monkeypatch, algorithms, seeds, message):
@@ -215,15 +195,6 @@ def test_ratio_bench_checks_parameters_before_any_solve(monkeypatch, algorithms,
         raise AssertionError("solved before the parameter checks")
 
     monkeypatch.setattr(oracle, "brute_force", no_solve)
+    monkeypatch.setattr(cli, "solve_dispatch", no_solve)
     with pytest.raises(core.FormatError, match=message):
-        oracle.ratio_bench("random", algorithms, seeds)
-
-
-def test_ratio_bench_records_failures_and_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(exact2, "M_LIMIT", 2)
-    report = oracle.ratio_bench("random", ["exact2"], 5, n_max=6, k=2, fraction=1.0)
-    assert report.failures  # M_LIMIT refusals recorded, run continued
-    out = tmp_path / "r.csv"
-    report.write_csv(str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "seed,n,k,opt,algo,cost,ratio"
+        cli.ratio_bench("random", algorithms, seeds)
