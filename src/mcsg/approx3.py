@@ -3,15 +3,16 @@
 A1 solves one color pair exactly and spans the third color with its MST,
 giving a 2-approximation; the same idea pairs up any number of colors for a
 ceil(k/2) ratio.  A2 builds six candidate solutions: the three pair+mono
-unions, and three more that start from an MST H of the points carrying all
-three colors and complete each world around H.  Its certified ratio is
-2 - 1/(3 + 2*rho), where rho bounds the Steiner ratio.
+unions G1..G3, and G4..G6, which start from an MST H of the points carrying
+all three colors and complete each world around H.  G(i+3) is G(i) when H has
+at most one point: H has no edge and a one-point block merges nothing.  Its
+certified ratio is 2 - 1/(3 + 2*rho), where rho bounds the Steiner ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,14 +75,15 @@ def approx_pairing(inst: Instance, pairing) -> Solution:
     if sorted(flat) != list(range(1, inst.k + 1)) or any(len(b) not in (1, 2) for b in blocks):
         raise ValueError(f"pairing must partition 1..{inst.k} into blocks of size <= 2")
     edges = _pair_plus_trees(inst, blocks, mst.class_trees(inst, flat))
-    return make_solution(inst, edges, "pairing", ratio_bound=math.ceil(inst.k / 2))
+    return make_solution(inst, edges, "pairing", ratio_bound=float(math.ceil(inst.k / 2)))
 
 
 _A2_SPLITS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
 def approx_a2_bundle(inst: Instance) -> CandidateBundle:
-    """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H."""
+    """All six A2 candidates: G1..G3 pair+mono, G4..G6 completions around H,
+    or G1..G3 relabelled, without solving again, when H has under two points."""
     if inst.k != 3:
         raise ValueError("approx_a2 requires k == 3")
     trees = mst.class_trees(inst, (1, 2, 3))  # one EMST per class for all six candidates
@@ -90,13 +92,16 @@ def approx_a2_bundle(inst: Instance) -> CandidateBundle:
         edges = _pair_plus_trees(inst, ((c1, c2), (mono,)), trees)
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
-    h_edges = mst.subset_mst(inst.xy, black)
-    merged = (frozenset(int(p) for p in black),) if black.size else ()
-    for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), trees)
-        mono_edges = mst_completion(inst, inst.color_class(mono), merged, trees[mono])
-        edges = merge_edges(h_edges, pair_sol.edges, mono_edges)
-        graphs.append(make_solution(inst, edges, f"a2/G{i + 4}", ratio_bound=None))
+    if black.size < 2:
+        graphs += [replace(g, algorithm=f"a2/G{i + 4}") for i, g in enumerate(graphs)]
+    else:
+        h_edges = mst.subset_mst(inst.xy, black)
+        merged = (frozenset(black.tolist()),)
+        for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
+            pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), trees)
+            mono_edges = mst_completion(inst, inst.color_class(mono), merged, trees[mono])
+            edges = merge_edges(h_edges, pair_sol.edges, mono_edges)
+            graphs.append(make_solution(inst, edges, f"a2/G{i + 4}", ratio_bound=None))
     chosen = 0
     for i in range(1, 6):
         if graphs[i].cost < graphs[chosen].cost:

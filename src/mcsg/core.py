@@ -178,33 +178,35 @@ _EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 _EMPTY_EDGES.setflags(write=False)
 
 
-def _edge_ends(edges, n: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The smaller and the larger endpoint of each edge, as int64 arrays,
-    after the checks every edge collection gets: no self-loop and, given n,
-    every endpoint in 0..n-1.  Nothing is sorted or deduped."""
+def _edge_ends(edges, n: int | None) -> tuple[np.ndarray, np.ndarray, np.int64 | None, np.int64 | None]:
+    """The smaller and the larger endpoint of each edge, as int64 arrays, and
+    the least and the greatest endpoint (None without edges), after the
+    checks every edge collection gets: no self-loop and, given n, every
+    endpoint in 0..n-1.  Nothing is sorted or deduped."""
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     arr = arr.reshape(-1, 2)
     a, b = arr[:, 0], arr[:, 1]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if lo.size:
-        if (lo == hi).any():
-            raise FormatError("self-loop edge")
-        if n is not None and (lo.min() < 0 or hi.max() >= n):
-            raise FormatError("edge endpoint out of range")
-    return lo, hi
+    if not lo.size:
+        return lo, hi, None, None
+    if (lo == hi).any():
+        raise FormatError("self-loop edge")
+    base, top = lo.min(), hi.max()
+    if n is not None and (base < 0 or top >= n):
+        raise FormatError("edge endpoint out of range")
+    return lo, hi, base, top
 
 
 def as_edges(edges, n: int | None = None) -> np.ndarray:
     """Canonicalize an edge collection: int64 (m, 2), a < b, sorted, deduped."""
-    if isinstance(edges, np.ndarray) and edges.size == 0:
+    if not (edges.size if isinstance(edges, np.ndarray) else edges):
         return _EMPTY_EDGES
-    lo, hi = _edge_ends(edges, n)
-    if lo.size == 0:
+    lo, hi, base, top = _edge_ends(edges, n)
+    if base is None:
         return _EMPTY_EDGES
     # One key per edge that sorts like (lo, hi), deduped by np.sort plus an
     # adjacent compare: np.unique hashes int keys (numpy 2.4), which is an
     # order of magnitude slower than sorting them.
-    base, top = lo.min(), hi.max()
     span = top - base + 1
     key = np.sort((lo - base) * span + (hi - base))
     if key.size > 1:
@@ -252,7 +254,7 @@ def is_csg(inst: Instance, edges) -> bool:
     like ``as_edges``' but neither sorted nor deduped, which labelling does
     not need.
     """
-    a, b = _edge_ends(edges, inst.n)
+    a, b, _, _ = _edge_ends(edges, inst.n)
     shared = inst.masks[a] & inst.masks[b]
     for c in range(1, inst.k + 1):
         members = inst.color_class(c)

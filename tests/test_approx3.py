@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsg import approx3, core, mst, oracle
+from mcsg import approx3, core, exact2, mst, oracle
 
 
 def test_config_ratios():
@@ -94,6 +94,13 @@ def test_pairing_k3_matches_a1():
                       approx3.approx_pairing(inst, [(1, 2), (3,)])):
             assert np.array_equal(other.edges, a1.edges), seed
             assert other.cost == a1.cost, seed
+
+
+def test_pairing_bound_is_a_float_and_round_trips():
+    sol = approx3.approx_pairing(core.generate_random(6, 4, 0.5, 1), [(1, 2), (3, 4)])
+    assert type(sol.ratio_bound) is float and sol.ratio_bound == 2.0
+    text = core.solution_to_json(sol)
+    assert core.solution_to_json(core.solution_from_json(text)) == text
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -203,18 +210,19 @@ PINNED_A3 = [
     (4, 3, 0.5, 28, "7fd523da33f75738", "4b104c6cb13414ef", 1),
     (5, 3, 0.9, 29, "945afc64aeab55ee", "4d05c5980486bea4", 0),
 ]
-# (n, k, fraction, seed, digest) of approx_pairing with pairs (1, 2), (3, 4) and (5,)
+# (n, k, fraction, seed, digest) of approx_pairing with pairs (1, 2), (3, 4) and (5,);
+# each digest covers the float ratio bound (2.0 or 3.0)
 PINNED_PAIRING = [
-    (5, 4, 0.6, 100, "b8b94fa6327a60d8"),
-    (6, 5, 0.6, 101, "4c3cdbd96dd7345b"),
-    (7, 4, 0.6, 102, "45a07749771c3186"),
-    (8, 5, 0.6, 103, "6b97bec92ea5a3b9"),
-    (9, 4, 0.6, 104, "ebd63fadb551028d"),
-    (5, 5, 0.6, 105, "5c461387693ca043"),
-    (6, 4, 0.6, 106, "09eb000ff9293a02"),
-    (7, 5, 0.6, 107, "7ebb0419ee9b95f1"),
-    (8, 4, 0.6, 108, "2f695009089777df"),
-    (9, 5, 0.6, 109, "98506a774671d887"),
+    (5, 4, 0.6, 100, "a3b90760156125f0"),
+    (6, 5, 0.6, 101, "ada3bacbbba8d51a"),
+    (7, 4, 0.6, 102, "22cbf99c48777d43"),
+    (8, 5, 0.6, 103, "81921c56b75232ad"),
+    (9, 4, 0.6, 104, "1e37f604965839b1"),
+    (5, 5, 0.6, 105, "72590d602827964f"),
+    (6, 4, 0.6, 106, "79de8cde4160f1d8"),
+    (7, 5, 0.6, 107, "a1cc66f8c4894438"),
+    (8, 4, 0.6, 108, "7042c96200d7c4fe"),
+    (9, 5, 0.6, 109, "435c4e6d1e773453"),
 ]
 
 
@@ -245,3 +253,82 @@ def test_a2_builds_one_emst_per_point_set(monkeypatch):
     monkeypatch.setattr(mst, "euclidean_mst", lambda xy: calls.append(len(xy)) or emst(xy))
     approx3.approx_a2_bundle(inst)
     assert len(calls) <= 4, calls
+
+
+def reference_a2_bundle(inst):
+    """A2's six candidates and the chosen index, with G4..G6 always built
+    around H by their own pair solves and completions, whatever |H|."""
+    trees = mst.class_trees(inst, (1, 2, 3))
+    graphs = [core.make_solution(inst, approx3._pair_plus_trees(inst, ((c1, c2), (mono,)), trees),
+                                 f"a2/G{i + 1}")
+              for i, (c1, c2, mono) in enumerate(approx3._A2_SPLITS)]
+    black = np.flatnonzero(inst.masks == 0b111)
+    h_edges = mst.subset_mst(inst.xy, black)
+    merged = (frozenset(int(p) for p in black),) if black.size else ()
+    for i, (c1, c2, mono) in enumerate(approx3._A2_SPLITS):
+        pair_sol = exact2.solve_pair(exact2.project_pair(inst, c1, c2, group_merge=merged), trees)
+        mono_edges = mst.mst_completion(inst, inst.color_class(mono), merged, trees[mono])
+        edges = core.merge_edges(h_edges, pair_sol.edges, mono_edges)
+        graphs.append(core.make_solution(inst, edges, f"a2/G{i + 4}"))
+    chosen = min(range(6), key=lambda i: (graphs[i].cost, i))  # the first cheapest
+    return graphs, chosen
+
+
+def _lattice(n, seed):
+    """n distinct points of a 4 x 4 integer grid, so that many lengths tie,
+    with random color sets; None when a color is missing."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(16, size=n, replace=False)
+    masks = rng.choice([1, 2, 4, 3, 5, 6, 7, 7], size=n)
+    if np.bitwise_or.reduce(masks) != 0b111:
+        return None
+    return core.Instance.from_arrays(3, np.stack([cells % 4, cells // 4], axis=1), masks)
+
+
+def _a2_cases():
+    for s in range(120):
+        yield core.generate_random(3 + s % 10, 3, round(0.3 + 0.1 * (s % 7), 1), s)
+    for s in range(60):
+        inst = _lattice(4 + s % 7, s)
+        if inst is not None:
+            yield inst
+    for n in range(1, 7):
+        yield core.generate_all_black(n, n)
+
+
+def test_a2_bundle_matches_reference():
+    black_counts = set()
+    for inst in _a2_cases():
+        want, want_chosen = reference_a2_bundle(inst)
+        bundle = approx3.approx_a2_bundle(inst)
+        got = [(g.algorithm, g.cost.hex(), g.edges.tolist()) for g in bundle.graphs]
+        assert got == [(g.algorithm, g.cost.hex(), g.edges.tolist()) for g in want]
+        assert bundle.chosen == want_chosen
+        a2 = approx3.approx_a2(inst)
+        assert (a2.cost.hex(), a2.edges.tolist()) == got[want_chosen][1:]
+        black_counts.add(min(int(np.count_nonzero(inst.masks == 0b111)), 3))
+    assert black_counts == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("inst, black, solves, completions", [
+    (core.generate_random(5, 3, 0.5, 1), 0, 3, 0),
+    (core.generate_random(5, 3, 0.5, 0), 1, 3, 0),
+    (core.generate_random(6, 3, 0.9, 0), 2, 6, 3),
+    (core.generate_random(7, 3, 0.9, 3), 4, 6, 3),
+    (core.generate_all_black(6, 5), 6, 6, 3),
+], ids=["H0", "H1", "H2", "H4", "all-black"])
+def test_a2_builds_g4_to_g6_only_around_two_or_more_black_points(
+        monkeypatch, inst, black, solves, completions):
+    assert int(np.count_nonzero(inst.masks == 0b111)) == black
+    calls = {"solve_pair": 0, "mst_completion": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(approx3, name, counted(name, getattr(approx3, name)))
+    approx3.approx_a2(inst)
+    assert calls == {"solve_pair": solves, "mst_completion": completions}

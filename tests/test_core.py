@@ -478,9 +478,9 @@ def test_as_edges_orients_sorts_and_dedupes():
 
 
 def test_as_edges_empty():
-    for empty in ((), [], np.zeros((0, 2), dtype=np.int64), np.zeros(0)):
+    for empty in ((), [], set(), iter(()), [[]], np.zeros((0, 2), dtype=np.int64), np.zeros(0)):
         got = core.as_edges(empty, 5)
-        assert got.shape == (0, 2) and got.dtype == np.int64
+        assert got.shape == (0, 2) and got.dtype == np.int64 and not got.flags.writeable
 
 
 def test_as_edges_rejects_self_loops_and_out_of_range():
