@@ -5,10 +5,16 @@ F of any pre-merged blocks added, an MST of G plus F uses only edges of F and
 of MST(G), because every other pair is the longest edge on a cycle of MST(G)
 edges.  So completing a class around already connected blocks is Kruskal
 over its EMST edges in (length, a, b) order with the blocks pre-united as
-groups.  ``kruskal`` is the one Kruskal loop: the dense EMST,
-``mst_completion`` and exact2's block forests and world completions all run
-through it.  At every n, the EMST here is the unique MST under that strict
-order.
+groups.  Every (length, a, b) key is distinct, so that forest is the unique
+minimum spanning forest of the class with each block contracted, and
+``euclidean_mst`` builds it directly when given the blocks as initial
+component labels: the dense Kruskal starts with them united, and Borůvka
+starts its rounds from them instead of from single points.
+``mst_completion`` takes that route unless the caller already holds the
+class's EMST.  ``kruskal`` is the one Kruskal loop: the dense EMST,
+``mst_completion`` over a given tree and exact2's block forests and world
+completions all run through it.  At every n, the EMST here is the unique
+MST under that strict order.
 
 The forced edges of color c are one such completion.  A maximal subset of
 MST(S_c) in which no component contains two multichromatic points lies
@@ -26,7 +32,9 @@ import numpy as np
 
 from .core import Instance, as_edges
 
-DENSE_LIMIT = 80  # above it _boruvka_mst, whose tree is the same, beats the dense Kruskal
+# above it _boruvka_mst, whose tree (or forest, from initial labels) is the
+# same, beats the dense Kruskal
+DENSE_LIMIT = 80
 
 
 def kruskal(n: int, items, groups=(), out: list[tuple[int, int]] | None = None) -> float:
@@ -112,26 +120,29 @@ def index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a.copy(), b.copy()
 
 
-def _dense_mst(xy: np.ndarray) -> np.ndarray:
+def _dense_mst(xy: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     n = xy.shape[0]
     a, b = index_pairs(n)
     length = _length(xy, a, b)
     order = np.lexsort((b, a, length))
     a, b, kept = a[order].tolist(), b[order].tolist(), []
-    kruskal(n, zip(length[order].tolist(), a, b, a, b), out=kept)
+    groups = () if labels is None else zip(labels.tolist(), range(n))
+    kruskal(n, zip(length[order].tolist(), a, b, a, b), groups, kept)
     return as_edges(kept)
 
 
-def _boruvka_mst(xy: np.ndarray) -> np.ndarray:
+def _boruvka_mst(xy: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """Borůvka on one kd-tree: each round every component takes its least
-    outgoing pair under (length, a, b), so this is ``_dense_mst``'s tree.  The
+    outgoing pair under (length, a, b), so this is ``_dense_mst``'s tree, or
+    its forest when the rounds start from the components of ``labels``.  The
     candidates a < b hold, per point p, every foreign point within kd distance
     ``reach[p]``; a point whose reach falls short of its component's best pair
     gets one wider k-NN row, then a ball search outside its component."""
     from scipy.spatial import cKDTree  # here, so import mcsg and small solves never load scipy
 
     n = xy.shape[0]
-    tree, lab, reach, wide = cKDTree(xy), np.arange(n), np.zeros(n), np.zeros(n, dtype=bool)
+    lab = np.arange(n) if labels is None else np.unique(labels, return_inverse=True)[1]
+    tree, reach, wide = cKDTree(xy), np.zeros(n), np.zeros(n, dtype=bool)
     a, b, length, kept = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), []
 
     def add(i, j):
@@ -183,24 +194,28 @@ def _boruvka_mst(xy: np.ndarray) -> np.ndarray:
         while (to[to] != to).any():
             to = to[to]
         lab = (np.cumsum(to == ids) - 1)[to][lab]
-    return as_edges(np.concatenate(kept))
+    return as_edges(np.concatenate(kept)) if kept else as_edges(())
 
 
-def euclidean_mst(xy) -> np.ndarray:
+def euclidean_mst(xy, labels=None) -> np.ndarray:
     """Spanning tree of the complete Euclidean graph on coordinates.
 
     Returns a canonical edge array over positions in the input.  Empty and
     singleton inputs yield no edges.  The tree is the EMST with ties broken
     lexicographically by (length, a, b), one tree at every n: up to
     ``DENSE_LIMIT`` points from ``_dense_mst``, above it from ``_boruvka_mst``.
+    ``labels``, one integer per point, pre-connects the points that share a
+    label; the result is then the minimum spanning forest that joins those
+    components, the edges Kruskal over all pairs takes with them pre-united,
+    and it has no edge when one label covers every point.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
     if n <= 1:
         return as_edges(())
     if n <= DENSE_LIMIT:
-        return _dense_mst(xy)
-    return _boruvka_mst(xy)
+        return _dense_mst(xy, labels)
+    return _boruvka_mst(xy, labels)
 
 
 def subset_mst(xy: np.ndarray, members) -> np.ndarray:
@@ -233,27 +248,38 @@ def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = No
     """Minimum edge set spanning ``members`` given pre-connected blocks.
 
     The blocks of ``merged`` (instance indices; points outside ``members``
-    are ignored) count as already connected.  This is ``kruskal`` over the
-    EMST of ``members`` with the blocks pre-united (see the module
-    docstring); returns the chosen pairs as a canonical edge array.
-    ``tree`` is that EMST as ``subset_mst`` gives it, when the caller
-    already has it (from ``class_trees``); it is computed otherwise.
+    are ignored) count as already connected.  Returns the chosen pairs as a
+    canonical edge array: the EMST of ``members`` with each block as one
+    initial component (``euclidean_mst``'s ``labels``), which is ``kruskal``
+    over the plain EMST with the blocks pre-united (see the module
+    docstring).  ``tree`` is that plain EMST as ``subset_mst`` gives it, when
+    the caller already has it (from ``class_trees``); the Kruskal over it is
+    then cheaper than a second EMST.
     """
     members = np.asarray(members, dtype=np.int64)
     pos = np.full(inst.n, -1, dtype=np.int64)
     pos[members] = np.arange(members.size)
-    groups = [(g, p) for g, block in enumerate(merged)
-              for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0]
-    if tree is None:
-        tree = subset_mst(inst.xy, members)
-    kept: list[tuple[int, int]] = []
-    kruskal(members.size, ((0.0, a, b, a, b) for a, b in pos[tree].tolist()), groups, kept)
-    return as_edges(members[np.array(kept, dtype=np.int64).reshape(-1, 2)])
+    if tree is not None:
+        groups = [(g, p) for g, block in enumerate(merged)
+                  for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0]
+        kept: list[tuple[int, int]] = []
+        kruskal(members.size, ((0.0, a, b, a, b) for a, b in pos[tree].tolist()), groups, kept)
+        return as_edges(members[np.array(kept, dtype=np.int64).reshape(-1, 2)])
+    labels = np.arange(members.size)  # labels[v] is always a point r with labels[r] == r
+    for block in merged:
+        p = pos[np.fromiter(block, np.int64)]
+        p = p[p >= 0]
+        if p.size:
+            hit = np.zeros(members.size, dtype=bool)
+            hit[labels[p]] = True  # blocks that overlap merge into one
+            labels[hit[labels]] = labels[p].min()
+    return as_edges(members[euclidean_mst(inst.xy[members], labels)])
 
 
 def forced_edges(inst: Instance, c: int) -> np.ndarray:
     """Forced edges of color c as a canonical edge array: the completion of
-    S_c with its multichromatic points pre-merged (see the module docstring).
-    They form a forest whose component count is |S_c| minus their count."""
+    S_c with its multichromatic points pre-merged (see the module docstring),
+    one ``euclidean_mst`` call with those points under one label.  They form
+    a forest whose component count is |S_c| minus their count."""
     members = inst.color_class(c)
     return mst_completion(inst, members, [members[inst.multichromatic()[members]]])

@@ -8,9 +8,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mcsg import cli, collinear, core, exact2, oracle
+from mcsg import cli, collinear, core, exact2, mst, oracle
 from mcsg.render import render_svg
 
 
@@ -534,6 +535,21 @@ def test_prune_component_counts(tmp_path, capsys):
         "color 2: 0 forced edges (1 component)",
         "color 3: 0 forced edges (0 components)",
         "color 4: 1 forced edge (1 component) (2,3)",
+    ]
+
+
+@pytest.mark.parametrize("dense_limit", [None, 200])
+def test_prune_all_multichromatic_class(tmp_path, capsys, monkeypatch, dense_limit):
+    # 100 points above and below DENSE_LIMIT, every one carrying both colors
+    if dense_limit is not None:
+        monkeypatch.setattr(mst, "DENSE_LIMIT", dense_limit)
+    inst = core.Instance.from_arrays(2, np.random.default_rng(3).random((100, 2)), np.full(100, 3))
+    path = tmp_path / "p.json"
+    core.save_instance(inst, str(path))
+    assert run("prune", "--input", str(path)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "color 1: 0 forced edges (100 components)",
+        "color 2: 0 forced edges (100 components)",
     ]
 
 

@@ -323,3 +323,107 @@ def test_small_gadget_forced_edges_pinned(small_gadget):
         edges = mst.forced_edges(small_gadget.instance, c)
         data = edges.tobytes() + forest_components(small_gadget.instance, c, edges)[1].tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, c
+
+
+def kruskal_over_emst(inst, members, merged):
+    """The completion by its first route: ``kruskal`` over the plain EMST of
+    ``members`` (``subset_mst``) with the blocks of ``merged`` pre-united."""
+    members = np.asarray(members, dtype=np.int64)
+    pos = np.full(inst.n, -1, dtype=np.int64)
+    pos[members] = np.arange(members.size)
+    groups = [(g, p) for g, block in enumerate(merged)
+              for p in pos[np.fromiter(block, np.int64)].tolist() if p >= 0]
+    tree = mst.subset_mst(inst.xy, members)
+    kept = []
+    mst.kruskal(members.size, ((0.0, a, b, a, b) for a, b in pos[tree].tolist()), groups, kept)
+    return core.as_edges(members[np.array(kept, dtype=np.int64).reshape(-1, 2)])
+
+
+def _labelled_point_sets():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 9, 60, 300):
+        yield rng.random((n, 2))
+    yield np.stack([np.arange(200.0), np.zeros(200)], axis=1)  # collinear
+    yield np.stack([np.arange(70.0), 3.0 * np.arange(70.0)], axis=1)
+    for n, side in ((40, 8), (250, 20)):  # integer lattice: many tied lengths
+        cells = rng.choice(side * side, size=n, replace=False)
+        yield np.stack([cells % side, cells // side], axis=1).astype(float)
+    yield clustered(3, 80, 140, 30)
+
+
+@pytest.mark.parametrize("dense_limit", [None, 4])
+def test_forced_edges_match_kruskal_over_emst(dense_limit, monkeypatch):
+    if dense_limit is not None:
+        monkeypatch.setattr(mst, "DENSE_LIMIT", dense_limit)
+    rng = np.random.default_rng(11)
+    sizes = set()
+    for xy in _labelled_point_sets():
+        n = len(xy)
+        for multi in (0, 1, max(1, n // 100), n // 5, n):  # 0, one point, 1 %, 20 %, all
+            masks = np.ones(n, dtype=np.uint32)
+            masks[rng.choice(n, size=multi, replace=False)] = 3
+            inst = core.Instance.from_arrays(2, xy, masks)
+            for c in (1, 2):
+                members = inst.color_class(c)
+                merged = [members[inst.multichromatic()[members]]]
+                got = mst.forced_edges(inst, c)
+                assert np.array_equal(got, kruskal_over_emst(inst, members, merged)), (n, multi, c)
+                if members.size:  # one component per multichromatic point, or one
+                    assert members.size - len(got) == max(1, len(merged[0])), (n, multi, c)
+            sizes.add(n > mst.DENSE_LIMIT)
+    assert sizes == {False, True}  # both sides of DENSE_LIMIT
+
+
+def test_mst_completion_with_and_without_tree_on_a2_blocks():
+    cases = [core.generate_random(3 + s % 10, 3, round(0.3 + 0.1 * (s % 7), 1), s) for s in range(60)]
+    cases += [core.generate_random(n, 3, 0.05, n) for n in (150, 400)]
+    cases += [grid_instance(n, 3, 0.8, n, 6) for n in (8, 20, 30)]
+    sizes = set()
+    for inst in cases:
+        black = np.flatnonzero(inst.masks == 0b111)
+        merged = (frozenset(black.tolist()),) if black.size else ()
+        trees = mst.class_trees(inst, (1, 2, 3))
+        for mono in (1, 2, 3):
+            members = inst.color_class(mono)
+            got = mst.mst_completion(inst, members, merged)
+            assert np.array_equal(got, mst.mst_completion(inst, members, merged, trees[mono]))
+            assert np.array_equal(got, kruskal_over_emst(inst, members, merged))
+            sizes.add(members.size > mst.DENSE_LIMIT)
+    assert sizes == {False, True}
+
+
+def test_mst_completion_merges_overlapping_blocks():
+    # blocks {0, 1}, {2, 3} and {1, 3} make one component of 0..3 on a line
+    inst = core.Instance(1, [(float(x), 0.0, {1}) for x in range(6)])
+    members = inst.color_class(1)
+    for merged in ([{0, 1}, {2, 3}, {1, 3}], [{1, 3}, {0, 1}, {2, 3}]):
+        assert mst.mst_completion(inst, members, merged).tolist() == [[3, 4], [4, 5]]
+        tree = mst.subset_mst(inst.xy, members)
+        assert mst.mst_completion(inst, members, merged, tree).tolist() == [[3, 4], [4, 5]]
+
+
+@pytest.mark.parametrize("dense_limit", [None, 200])
+def test_forced_edges_when_every_point_is_multichromatic(dense_limit, monkeypatch):
+    # one label covers the whole class: Borůvka (100 > DENSE_LIMIT) runs no
+    # round and the dense Kruskal reads no pair; both return no edge
+    if dense_limit is not None:
+        monkeypatch.setattr(mst, "DENSE_LIMIT", dense_limit)
+    xy = np.random.default_rng(2).random((100, 2))
+    inst = core.Instance.from_arrays(2, xy, np.full(100, 3))
+    for c in (1, 2):
+        edges = mst.forced_edges(inst, c)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
+    assert mst.euclidean_mst(xy, np.full(100, 7)).shape == (0, 2)
+
+
+def test_euclidean_mst_labels_are_any_integers(monkeypatch):
+    rng = np.random.default_rng(4)
+    xy = rng.random((150, 2))
+    labels = rng.integers(0, 40, size=150)
+    for limit in (80, 4):
+        monkeypatch.setattr(mst, "DENSE_LIMIT", limit)
+        want = mst.euclidean_mst(xy, labels)
+        assert np.array_equal(mst.euclidean_mst(xy, 1000 - 3 * labels), want)
+        assert np.array_equal(mst._dense_mst(xy, labels), want)
+        assert want.shape == (np.unique(labels).size - 1, 2)
+    assert np.array_equal(mst.euclidean_mst(xy, np.arange(150)), mst.euclidean_mst(xy))
