@@ -7,6 +7,7 @@ unions G1..G3, and G4..G6, which start from an MST H of the points carrying
 all three colors and complete each world around H.  G(i+3) is G(i) when H has
 at most one point: H has no edge and a one-point block merges nothing.  Its
 certified ratio is 2 - 1/(3 + 2*rho), where rho bounds the Steiner ratio.
+All of them read the one EMST per class the instance keeps (``mst.class_tree``).
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ class CandidateBundle:
         return self.graphs[self.chosen]
 
 
-def _pair_plus_trees(inst: Instance, blocks, trees: dict[int, np.ndarray]) -> np.ndarray:
+def _pair_plus_trees(inst: Instance, blocks) -> np.ndarray:
     """The merged edges of an exact ``solve_pair`` per two-color block and the
-    class tree (from ``trees``) per one-color block."""
-    return merge_edges(*(solve_pair(project_pair(inst, *b), trees).edges if len(b) == 2
-                         else trees[b[0]] for b in blocks))
+    class tree (``mst.class_tree``) per one-color block."""
+    return merge_edges(*(solve_pair(project_pair(inst, *b)).edges if len(b) == 2
+                         else mst.class_tree(inst, b[0]) for b in blocks))
 
 
 def approx_a1(inst: Instance, config: ApproxConfig | None = None) -> Solution:
@@ -64,7 +65,7 @@ def approx_a1(inst: Instance, config: ApproxConfig | None = None) -> Solution:
     the k = 3 case of ``approx_pairing``."""
     if inst.k != 3:
         raise ValueError("approx_a1 requires k == 3")
-    edges = _pair_plus_trees(inst, ((1, 2), (3,)), mst.class_trees(inst, (1, 2, 3)))
+    edges = _pair_plus_trees(inst, ((1, 2), (3,)))
     return make_solution(inst, edges, "a1", ratio_bound=2.0)
 
 
@@ -74,7 +75,7 @@ def approx_pairing(inst: Instance, pairing) -> Solution:
     flat = [c for b in blocks for c in b]
     if sorted(flat) != list(range(1, inst.k + 1)) or any(len(b) not in (1, 2) for b in blocks):
         raise ValueError(f"pairing must partition 1..{inst.k} into blocks of size <= 2")
-    edges = _pair_plus_trees(inst, blocks, mst.class_trees(inst, flat))
+    edges = _pair_plus_trees(inst, blocks)
     return make_solution(inst, edges, "pairing", ratio_bound=float(math.ceil(inst.k / 2)))
 
 
@@ -86,10 +87,9 @@ def approx_a2_bundle(inst: Instance) -> CandidateBundle:
     or G1..G3 relabelled, without solving again, when H has under two points."""
     if inst.k != 3:
         raise ValueError("approx_a2 requires k == 3")
-    trees = mst.class_trees(inst, (1, 2, 3))  # one EMST per class for all six candidates
     graphs: list[Solution] = []
     for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-        edges = _pair_plus_trees(inst, ((c1, c2), (mono,)), trees)
+        edges = _pair_plus_trees(inst, ((c1, c2), (mono,)))
         graphs.append(make_solution(inst, edges, f"a2/G{i + 1}", ratio_bound=None))
     black = np.flatnonzero(inst.masks == np.uint32(0b111))
     if black.size < 2:
@@ -98,8 +98,8 @@ def approx_a2_bundle(inst: Instance) -> CandidateBundle:
         h_edges = mst.subset_mst(inst.xy, black)
         merged = (frozenset(black.tolist()),)
         for i, (c1, c2, mono) in enumerate(_A2_SPLITS):
-            pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged), trees)
-            mono_edges = mst_completion(inst, inst.color_class(mono), merged, trees[mono])
+            pair_sol = solve_pair(project_pair(inst, c1, c2, group_merge=merged))
+            mono_edges = mst_completion(inst, inst.color_class(mono), merged, mst.class_tree(inst, mono))
             edges = merge_edges(h_edges, pair_sol.edges, mono_edges)
             graphs.append(make_solution(inst, edges, f"a2/G{i + 4}", ratio_bound=None))
     chosen = 0

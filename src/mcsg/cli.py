@@ -85,8 +85,7 @@ def solve_dispatch(inst: Instance, mode: str = "auto") -> Solution:
                     raise RefusalError(f"{dp_refusal}; {mode}: {exc}") from exc
     if mode == "exact2":
         if inst.k == 1:
-            edges = mst.subset_mst(inst.xy, inst.color_class(1))
-            return make_solution(inst, edges, "exact2", ratio_bound=1.0)
+            return make_solution(inst, mst.class_tree(inst, 1), "exact2", ratio_bound=1.0)
         if inst.k != 2:
             raise FormatError("mode exact2 needs k <= 2 (use 'exact2' subcommand with --pair)")
         return exact2.solve_pair(exact2.project_pair(inst, 1, 2))

@@ -90,10 +90,11 @@ class Instance:
 
     Coordinates live in ``xy`` (n x 2 float64) and color sets in ``masks``
     (n uint32 bitmasks).  Both arrays are frozen after construction; all
-    higher-level types treat instances as immutable values.
+    higher-level types treat instances as immutable values, and derived
+    arrays are kept once built (``_trees`` only by ``mst.class_tree``).
     """
 
-    __slots__ = ("k", "xy", "masks", "_classes")
+    __slots__ = ("k", "xy", "masks", "_classes", "_trees")
 
     def __init__(self, k: int, points: Iterable[tuple] = ()):
         """Points as ``(x, y, colors)`` tuples, colors an iterable of 1-based ints."""
@@ -137,6 +138,7 @@ class Instance:
         self.xy = xy
         self.masks = masks
         self._classes = {}
+        self._trees = {}
 
     @property
     def n(self) -> int:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mst
-from .core import (Instance, Solution, as_edges, is_csg, make_solution, over_budget,
-                   set_partitions)
+from .core import (Instance, Solution, as_edges, costs_equal, is_csg, make_solution,
+                   over_budget, set_partitions)
 
 # The most purple units solve_pair accepts: the search visits up to Bell(m)
 # partitions, 678,570 at m = 11.
@@ -120,21 +120,21 @@ def _units(proj: PairProjection) -> tuple[list[list[int]], list[list[int]]]:
     return merge_blocks, units
 
 
-def _world(proj: PairProjection, bit: int, class_tree: np.ndarray, merge_blocks, units, dist):
+def _world(proj: PairProjection, bit: int, merge_blocks, units, dist):
     """One color's forced edges, component count, completion links and the
     component of each unit.
 
-    ``class_tree`` is the color class's EMST in base-instance indices.  The
-    forced edges are the color's completion with the purple points
-    pre-merged (see ``mst``); the links are the EMST edges that it dropped,
-    one fewer than the purple points: with the forced edges and any blocks
-    pre-merged, a minimum completion needs no other pair.
+    The color is ``proj.pair[bit - 1]``.  The forced edges are its class
+    EMST's completion with the purple points pre-merged (see ``mst``); the
+    links are the EMST edges that it dropped, one fewer than the purple
+    points: with the forced edges and any blocks pre-merged, a minimum
+    completion needs no other pair.
     """
     bits = proj.bits.tolist()
     members = [p for p in range(len(bits)) if bits[p] & bit]
     # the class tree at projection positions; idx is sorted, so the pairs
-    # keep subset_mst's ascending (length, a, b) order
-    tree = np.searchsorted(proj.idx, class_tree).tolist()
+    # keep class_tree's ascending (length, a, b) order
+    tree = np.searchsorted(proj.idx, mst.class_tree(proj.base, proj.pair[bit - 1])).tolist()
     forced: list[tuple[int, int]] = []
     mst.kruskal(len(bits), ((0.0, a, b, a, b) for a, b in tree),
                 [(0, p) for p in members if bits[p] == 3], forced)
@@ -151,22 +151,20 @@ def _world(proj: PairProjection, bit: int, class_tree: np.ndarray, merge_blocks,
     return forced, len(roots), links, [comp[unit[0]] for unit in units]
 
 
-def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None) -> Solution:
+def solve_pair(proj: PairProjection) -> Solution:
     """Minimum-cost CSG of a 2-color projection, exact.
 
     Refuses when the number m of purple units (bichromatic points, those of
     one ``group_merge`` block counted once) exceeds ``M_LIMIT``.  The result
     contains the forced edges of both colors and carries ratio 1.0; edges are
-    reported in base-instance indices.  ``trees`` maps each color of the pair
-    to its class EMST in ``proj.base`` (``mst.class_trees``) when the caller
-    shares them between solves; they are built here otherwise.
+    reported in base-instance indices.  Each color's class EMST comes from
+    ``mst.class_tree``, so solves on one base instance share it.  Raises
+    ``RuntimeError`` if the edges' cost differs from the search's best score.
     """
     merge_blocks, units = _units(proj)
     m = len(units)
     if m > M_LIMIT:
         raise over_budget("exact2", m, "purple units", M_LIMIT, "exact2.M_LIMIT")
-    if trees is None:
-        trees = mst.class_trees(proj.base, proj.pair)
     pts = proj.base.xy[proj.idx].tolist()
 
     def dist(a: int, b: int) -> float:
@@ -174,8 +172,7 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
         dx, dy = xa - xb, ya - yb
         return math.sqrt(dx * dx + dy * dy)  # mst's length rule, bit for bit
 
-    w1, w2 = (_world(proj, bit, trees[c], merge_blocks, units, dist)
-              for bit, c in zip((1, 2), proj.pair))
+    w1, w2 = (_world(proj, bit, merge_blocks, units, dist) for bit in (1, 2))
     forced_edges = w1[0] + w2[0]
     forced_cost = sum(dist(a, b) for a, b in forced_edges)
     # cheapest point pair per unit pair, ascending by (weight, a, b)
@@ -209,7 +206,10 @@ def solve_pair(proj: PairProjection, trees: dict[int, np.ndarray] | None = None)
     complete(w1, best_code, edges)
     complete(w2, best_code, edges)
     base_edges = [(int(proj.idx[a]), int(proj.idx[b])) for a, b in edges]
-    return make_solution(proj.base, base_edges, "exact2", ratio_bound=1.0)
+    sol = make_solution(proj.base, base_edges, "exact2", ratio_bound=1.0)
+    if not costs_equal(sol.cost, best):  # the winner's edges cost exactly its score
+        raise RuntimeError("exact2 cost does not match its edge set")
+    return sol
 
 
 def spans_projection(proj: PairProjection, edges) -> bool:

@@ -10,11 +10,12 @@ minimum spanning forest of the class with each block contracted, and
 ``euclidean_mst`` builds it directly when given the blocks as initial
 component labels: the dense Kruskal starts with them united, and Borůvka
 starts its rounds from them instead of from single points.
-``mst_completion`` takes that route unless the caller already holds the
-class's EMST.  ``kruskal`` is the one Kruskal loop: the dense EMST,
-``mst_completion`` over a given tree and exact2's block forests and world
-completions all run through it.  At every n, the EMST here is the unique
-MST under that strict order.
+``mst_completion`` takes that route unless it is given the class's EMST,
+which the instance keeps once ``class_tree`` has built it, so that A1, A2,
+the pairing and exact2 share one per class.  ``kruskal`` is the one Kruskal
+loop: the dense EMST, ``mst_completion`` over a given tree and exact2's
+block forests and world completions all run through it.  At every n, the
+EMST here is the unique MST under that strict order.
 
 The forced edges of color c are one such completion.  A maximal subset of
 MST(S_c) in which no component contains two multichromatic points lies
@@ -230,14 +231,12 @@ def subset_mst(xy: np.ndarray, members) -> np.ndarray:
     return tree[np.lexsort((tree[:, 1], tree[:, 0], _length(xy, *tree.T)))]
 
 
-def class_trees(inst: Instance, colors) -> dict[int, np.ndarray]:
-    """``subset_mst`` of the color class of each of ``colors``, by color.
-
-    A solve that needs a class's EMST in several places (pair solves, mono
-    trees, completions) builds the trees once with this and passes them
-    down; they live only as long as that call.
-    """
-    return {c: subset_mst(inst.xy, inst.color_class(c)) for c in colors}
+def class_tree(inst: Instance, c: int) -> np.ndarray:
+    """``subset_mst`` of class c, read-only, built once and kept in ``inst._trees`` (only here)."""
+    if (tree := inst._trees.get(c)) is None:
+        tree = inst._trees[c] = subset_mst(inst.xy, inst.color_class(c))
+        tree.setflags(write=False)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +251,9 @@ def mst_completion(inst: Instance, members, merged, tree: np.ndarray | None = No
     canonical edge array: the EMST of ``members`` with each block as one
     initial component (``euclidean_mst``'s ``labels``), which is ``kruskal``
     over the plain EMST with the blocks pre-united (see the module
-    docstring).  ``tree`` is that plain EMST as ``subset_mst`` gives it, when
-    the caller already has it (from ``class_trees``); the Kruskal over it is
-    then cheaper than a second EMST.
+    docstring).  ``tree`` is that plain EMST as ``subset_mst`` gives it, such
+    as ``class_tree`` of a whole class; the Kruskal over it is then cheaper
+    than a second EMST.
     """
     members = np.asarray(members, dtype=np.int64)
     pos = np.full(inst.n, -1, dtype=np.int64)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsg import approx3, core, exact2, mst, oracle
+from mcsg import approx3, cli, core, exact2, mst, oracle
 
 
 def test_config_ratios():
@@ -253,21 +253,46 @@ def test_a2_builds_one_emst_per_point_set(monkeypatch):
     monkeypatch.setattr(mst, "euclidean_mst", lambda xy: calls.append(len(xy)) or emst(xy))
     approx3.approx_a2_bundle(inst)
     assert len(calls) <= 4, calls
+    # every solver in turn on a fresh instance: each class tree is built once
+    # and then kept; H is not kept, so each A2 run builds it once
+    inst = core.generate_random(7, 3, 0.9, 3)
+    built = []
+    monkeypatch.setattr(mst, "euclidean_mst", lambda xy: built.append(xy.tobytes()) or emst(xy))
+    approx3.approx_a1(inst)
+    approx3.approx_a2(inst)
+    approx3.approx_pairing(inst, [(1, 2), (3,)])
+    cli.solve_dispatch(inst, "a2")
+    classes = [inst.xy[inst.color_class(c)].tobytes() for c in (1, 2, 3)]
+    black = inst.xy[inst.masks == 0b111].tobytes()
+    assert sorted(built) == sorted(classes + [black, black])
+    for c in (1, 2, 3):  # a kept tree is read-only, and a second call returns it
+        tree = mst.class_tree(inst, c)
+        assert not tree.flags.writeable
+        with pytest.raises(ValueError):
+            tree[0, 0] = 0
+        assert mst.class_tree(inst, c) is tree
+        assert np.array_equal(tree, mst.subset_mst(inst.xy, inst.color_class(c)))
+    # the forced-edge route takes the labelled EMST and keeps no class tree
+    monkeypatch.undo()
+    fresh = core.generate_random(7, 3, 0.9, 3)
+    for c in (1, 2, 3):
+        mst.forced_edges(fresh, c)
+    assert fresh._trees == {}
 
 
 def reference_a2_bundle(inst):
     """A2's six candidates and the chosen index, with G4..G6 always built
     around H by their own pair solves and completions, whatever |H|."""
-    trees = mst.class_trees(inst, (1, 2, 3))
-    graphs = [core.make_solution(inst, approx3._pair_plus_trees(inst, ((c1, c2), (mono,)), trees),
+    graphs = [core.make_solution(inst, approx3._pair_plus_trees(inst, ((c1, c2), (mono,))),
                                  f"a2/G{i + 1}")
               for i, (c1, c2, mono) in enumerate(approx3._A2_SPLITS)]
     black = np.flatnonzero(inst.masks == 0b111)
     h_edges = mst.subset_mst(inst.xy, black)
     merged = (frozenset(int(p) for p in black),) if black.size else ()
     for i, (c1, c2, mono) in enumerate(approx3._A2_SPLITS):
-        pair_sol = exact2.solve_pair(exact2.project_pair(inst, c1, c2, group_merge=merged), trees)
-        mono_edges = mst.mst_completion(inst, inst.color_class(mono), merged, trees[mono])
+        pair_sol = exact2.solve_pair(exact2.project_pair(inst, c1, c2, group_merge=merged))
+        mono_edges = mst.mst_completion(inst, inst.color_class(mono), merged,
+                                        mst.class_tree(inst, mono))
         edges = core.merge_edges(h_edges, pair_sol.edges, mono_edges)
         graphs.append(core.make_solution(inst, edges, f"a2/G{i + 4}"))
     chosen = min(range(6), key=lambda i: (graphs[i].cost, i))  # the first cheapest

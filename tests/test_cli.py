@@ -59,6 +59,33 @@ def test_solve_auto_a2_for_planar_k3(tmp_path):
     assert doc["ratio_bound"] == pytest.approx(2 - 1 / (3 + 2 * 1.21))
 
 
+@pytest.mark.parametrize("mode", ["auto", "exact2"])
+def test_solve_single_color_is_the_class_emst(tmp_path, mode):
+    inst = core.generate_random(7, 1, 0.0, 5)
+    path = tmp_path / "one.json"
+    path.write_text(core.instance_to_json(inst))
+    out = tmp_path / "sol.json"
+    assert run("solve", "--input", str(path), "--output", str(out), "--mode", mode) == 0
+    sol = core.solution_from_json(out.read_text())
+    want = core.as_edges(mst.subset_mst(inst.xy, inst.color_class(1)))
+    assert (sol.algorithm, sol.ratio_bound, sol.edges.tolist()) == ("exact2", 1.0, want.tolist())
+    assert len(want) == inst.n - 1
+    assert sol.cost == pytest.approx(oracle.brute_force(inst).cost, rel=1e-9)
+
+
+def test_solve_svg_and_render_write_render_svg_bytes(tmp_path):
+    inst = core.generate_random(6, 3, 0.5, 4)
+    path, out, svg = tmp_path / "p.json", tmp_path / "sol.json", tmp_path / "sol.svg"
+    path.write_text(core.instance_to_json(inst))
+    assert run("solve", "--input", str(path), "--output", str(out), "--svg", str(svg)) == 0
+    sol = core.solution_from_json(out.read_text())
+    assert svg.read_bytes() == render_svg(inst, sol) == render_svg(inst, cli.solve_dispatch(inst))
+    assert b"<line" in svg.read_bytes()
+    again = tmp_path / "again.svg"
+    assert run("render", "--input", str(path), "--solution", str(out), "--output", str(again)) == 0
+    assert again.read_bytes() == svg.read_bytes()
+
+
 def test_solve_auto_falls_back_where_the_dp_refuses(tmp_path, capsys):
     # a k = 6 line whose second cut is over collinear.MAX_STATES_PER_CUT
     inst = core.generate_collinear(7, 6, 1.0, 1164)

@@ -48,6 +48,18 @@ def test_m_limit_refusal(monkeypatch):
         exact2.solve_pair(proj(core.generate_random(6, 2, 1.0, 0)))
 
 
+def test_solve_pair_checks_its_edges_against_its_score(monkeypatch):
+    # every solve compares the cost of the edges it returns with the best
+    # partition's score; an edge set missing one edge must not get through
+    p = proj(core.generate_random(10, 2, 0.4, 1))
+    assert len(exact2.solve_pair(p).edges) > 1
+    make = exact2.make_solution
+    monkeypatch.setattr(exact2, "make_solution",
+                        lambda inst, edges, *a, **kw: make(inst, edges[1:], *a, **kw))
+    with pytest.raises(RuntimeError, match="exact2 cost does not match its edge set"):
+        exact2.solve_pair(p)
+
+
 def test_solve_pair_relabel_invariant():
     for n, frac, seed in ((6, 0.6, 21), (20, 0.35, 5)):
         inst = core.generate_random(n, 2, frac, seed)

@@ -382,11 +382,11 @@ def test_mst_completion_with_and_without_tree_on_a2_blocks():
     for inst in cases:
         black = np.flatnonzero(inst.masks == 0b111)
         merged = (frozenset(black.tolist()),) if black.size else ()
-        trees = mst.class_trees(inst, (1, 2, 3))
         for mono in (1, 2, 3):
             members = inst.color_class(mono)
             got = mst.mst_completion(inst, members, merged)
-            assert np.array_equal(got, mst.mst_completion(inst, members, merged, trees[mono]))
+            tree = mst.class_tree(inst, mono)
+            assert np.array_equal(got, mst.mst_completion(inst, members, merged, tree))
             assert np.array_equal(got, kruskal_over_emst(inst, members, merged))
             sizes.add(members.size > mst.DENSE_LIMIT)
     assert sizes == {False, True}
